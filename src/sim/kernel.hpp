@@ -17,11 +17,22 @@
 // simulation (every Oscillator — one ring per kernel) can instead use
 // run_until_on<P>(), which devirtualizes the fire call so a `final` ring
 // model inlines its event handler straight into the drain loop. Both paths
-// pop the identical (time, seq) sequence and bump the identical counters.
+// pop the identical (time, seq) sequence and publish the identical counters.
 // The kernel does not own processes: a ring model owns its stages and
 // registers them for the duration of a run (see ring/iro.hpp, ring/str.hpp).
+//
+// Metrics (sim/metrics.hpp) are counted by the kernel, not per event: the
+// drain loops only advance the kernel's own schedule sequence and fire
+// count, processes add theirs through count(), and everything pending is
+// published into the calling thread's counter block once, when the
+// run_until / run_events / run_until_on call returns (or throws). A
+// schedule or count issued outside a run call publishes before returning,
+// or when the enclosing Kernel::Batch closes. The contract: a snapshot
+// taken on a thread between kernel calls is exact. metrics::enabled() is
+// read at publish time only, so the event loop does no metrics work.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -84,7 +95,6 @@ class Kernel {
   void schedule_at(Time at, NodeId node, std::uint32_t tag = 0) {
     RINGENT_REQUIRE(node < processes_.size(), "unknown node id");
     RINGENT_REQUIRE(at >= now_, "cannot schedule in the past");
-    metrics::bump(metrics::Counter::events_scheduled);
     const QueuedEvent event{at, next_seq_++, node, tag};
     if (kind_ == QueueKind::binary_heap) {
       heap_.push(event);
@@ -93,6 +103,16 @@ class Kernel {
       calendar_.push(event);
       telemetry::record(telemetry::Histogram::queue_depth, calendar_.size());
     }
+    if (!batching_) publish();
+  }
+
+  /// Count `n` occurrences of `counter` on behalf of a process (the STR's
+  /// Charlie evaluations, say). Published with the kernel's own counts when
+  /// the enclosing Batch closes (every run call is one), or at once
+  /// outside a Batch.
+  void count(metrics::Counter counter, std::uint64_t n = 1) {
+    pending_[static_cast<std::size_t>(counter)] += n;
+    if (!batching_) publish();
   }
 
   /// Current simulation time (the timestamp of the last fired event).
@@ -133,6 +153,26 @@ class Kernel {
     return drain_until(calendar_, t_end, fire);
   }
 
+  /// While a Batch is open, schedules and counts accumulate in the kernel;
+  /// they are published once when it closes, on every way out (a throwing
+  /// Process::fire included). Every run call drains inside one; a process
+  /// that schedules many events outside a run (Str::start) opens its own.
+  class Batch {
+   public:
+    explicit Batch(Kernel& kernel) : kernel_(kernel) {
+      kernel_.batching_ = true;
+    }
+    ~Batch() {
+      kernel_.batching_ = false;
+      kernel_.publish();
+    }
+    Batch(const Batch&) = delete;
+    Batch& operator=(const Batch&) = delete;
+
+   private:
+    Kernel& kernel_;
+  };
+
   /// Drop all pending events and reset the clock to zero. Registered
   /// processes stay registered.
   void reset_time();
@@ -148,12 +188,17 @@ class Kernel {
   }
 
  private:
+  /// Add everything counted since the last publish into the calling
+  /// thread's counter block (nothing when metrics are off) and clear it.
+  void publish();
+
   /// The shared drain loop, templated over the concrete queue type and the
   /// fire dispatcher: the generic run loops route by event.node through the
   /// virtual Process::fire, run_until_on passes a devirtualized handler.
   template <class Q, class Fire>
   std::uint64_t drain_until(Q& queue, Time t_end, const Fire& fire) {
     RINGENT_REQUIRE(t_end >= now_, "horizon in the past");
+    const Batch batch(*this);
     std::uint64_t fired = 0;
     while (!queue.empty() && queue.min_at() <= t_end) {
       const QueuedEvent event = queue.pop_min();
@@ -161,7 +206,6 @@ class Kernel {
                         static_cast<std::uint64_t>((event.at - now_).fs()));
       now_ = event.at;
       ++events_fired_;
-      metrics::bump(metrics::Counter::events_fired);
       fire(event);
       ++fired;
     }
@@ -172,6 +216,7 @@ class Kernel {
   template <class Q, class Fire>
   std::uint64_t drain_events(Q& queue, std::uint64_t max_events,
                              const Fire& fire) {
+    const Batch batch(*this);
     std::uint64_t fired = 0;
     while (fired < max_events && !queue.empty()) {
       const QueuedEvent event = queue.pop_min();
@@ -179,7 +224,6 @@ class Kernel {
                         static_cast<std::uint64_t>((event.at - now_).fs()));
       now_ = event.at;
       ++events_fired_;
-      metrics::bump(metrics::Counter::events_fired);
       fire(event);
       ++fired;
     }
@@ -193,6 +237,13 @@ class Kernel {
   Time now_ = Time::zero();
   std::uint64_t next_seq_ = 0;
   std::uint64_t events_fired_ = 0;
+  // Metrics not yet published. Schedules and fires are not tallied per
+  // event: publish() reads them off next_seq_ / events_fired_ against these
+  // watermarks. Per-Kernel state, so never shared across threads.
+  std::array<std::uint64_t, metrics::counter_count> pending_{};
+  std::uint64_t published_seq_ = 0;
+  std::uint64_t published_fired_ = 0;
+  bool batching_ = false;
 };
 
 }  // namespace ringent::sim

@@ -91,6 +91,16 @@ bool init_from_env() {
   return enabled();
 }
 
+void bump_all(const std::array<std::uint64_t, counter_count>& counts) {
+  if (!enabled()) return;
+  auto& values = detail::local_block().values;
+  for (std::size_t i = 0; i < counter_count; ++i) {
+    if (counts[i] != 0) {
+      values[i].fetch_add(counts[i], std::memory_order_relaxed);
+    }
+  }
+}
+
 Snapshot snapshot() {
   auto& reg = detail::registry();
   Snapshot out;

@@ -1,20 +1,24 @@
 // Kernel observability: process-wide simulation counters and phase timers.
 //
-// The simulation hot loop (schedule/fire, queue push/pop, Charlie
-// evaluations) is instrumented with named counters. The design constraints,
-// in order:
+// The simulation (schedule/fire, queue push/pop, Charlie evaluations) and
+// the TRNG health logic are instrumented with named counters. The design
+// constraints, in order:
 //
-//  1. Zero cost when off. Collection defaults to disabled; every probe is
-//     one relaxed atomic load and a predictable branch — measured < 2 % on
-//     BM_ParallelSweep (see bench/perf_kernel.cpp, BM_KernelEventThroughput
-//     metrics variants).
+//  1. Near-zero cost, off or on. Collection defaults to disabled; a bump()
+//     is one relaxed atomic load and a predictable branch. The event loop
+//     does not bump at all: sim::Kernel counts schedules, fires and its
+//     processes' counts itself and publishes them with one bump_all() per
+//     run call (see sim/kernel.hpp), so metrics-on costs the same per event
+//     as metrics-off (bench/perf_kernel.cpp, BM_KernelEventThroughput
+//     vs BM_KernelEventThroughputMetrics).
 //  2. No cross-thread contention when on. Sweeps shard whole simulations
 //     across pool workers (sim/parallel.hpp); a shared counter array would
-//     serialize them on cache-line ping-pong. Each thread therefore bumps
+//     serialize them on cache-line ping-pong. Each thread therefore adds to
 //     its own relaxed-atomic block; snapshot() sums the blocks.
 //  3. Deterministic totals. Counters never feed back into the simulation,
-//     and a quiescent snapshot (no batch in flight) is exact — the golden
-//     tests hand-count event totals against it.
+//     and a quiescent snapshot (no batch in flight, no kernel call running
+//     on the snapshotting thread) is exact — the golden tests hand-count
+//     event totals against it.
 //
 // Phase timers accumulate wall and thread-CPU time under string labels
 // ("build", "run", "analyze"); ScopedPhase is the RAII probe. Timer state is
@@ -41,10 +45,10 @@ enum class Counter : std::size_t {
   events_scheduled,        ///< Kernel::schedule_at calls
   events_fired,            ///< events delivered to a Process
   events_cancelled,        ///< pending events dropped by Kernel::reset_time
-  heap_pushes,             ///< heap pushes (FlatHeap4 + BinaryHeapQueue)
-  heap_pops,               ///< heap pops (FlatHeap4 + BinaryHeapQueue)
-  calendar_pushes,         ///< CalendarQueue::push
-  calendar_pops,           ///< CalendarQueue::pop_min
+  heap_pushes,             ///< kernel schedules routed to the flat heap
+  heap_pops,               ///< kernel fires popped from the flat heap
+  calendar_pushes,         ///< kernel schedules routed to the calendar queue
+  calendar_pops,           ///< kernel fires popped from the calendar queue
   charlie_evaluations,     ///< CharlieModel::fire_time calls from the STR
   token_collision_checks,  ///< STR enabled()/schedule eligibility checks
   pool_tasks,              ///< tasks executed by sim::ThreadPool
@@ -95,6 +99,11 @@ inline void bump(Counter counter, std::uint64_t n = 1) {
   detail::local_block().values[static_cast<std::size_t>(counter)].fetch_add(
       n, std::memory_order_relaxed);
 }
+
+/// Add `counts` (indexed by Counter) in one call: a single counter-block
+/// lookup and one relaxed add per nonzero entry. The kernel publishes its
+/// per-run-call counts through this.
+void bump_all(const std::array<std::uint64_t, counter_count>& counts);
 
 struct PhaseStat {
   std::string name;

@@ -10,13 +10,16 @@
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
+#include <stdexcept>
 #include <vector>
 
 #include "cli.hpp"
 #include "common/json.hpp"
 #include "common/require.hpp"
+#include "core/calibration.hpp"
 #include "core/experiments.hpp"
 #include "core/export.hpp"
+#include "core/registry.hpp"
 #include "noise/jitter.hpp"
 #include "ring/iro.hpp"
 #include "ring/str.hpp"
@@ -138,17 +141,219 @@ TEST(Metrics, StrCountsCharlieEvaluationsPerSchedule) {
 }
 
 TEST(Metrics, ResetTimeCountsCancelledEvents) {
+  {
+    const MetricsGuard guard;
+    sim::Kernel kernel;
+    ring::IroConfig config;
+    config.stages = 3;
+    ring::Iro iro(kernel, config, {});
+    iro.start();
+    kernel.run_events(10);
+    // Exactly one successor event is pending; reset_time drops it.
+    kernel.reset_time();
+    const metrics::Snapshot snap = metrics::snapshot();
+    EXPECT_EQ(snap.counter(metrics::Counter::events_cancelled), 1u);
+  }
+  // An STR keeps several events pending; reset_time cancels all of them
+  // and the count is visible at once, on either queue route.
+  for (const sim::QueueKind kind :
+       {sim::QueueKind::binary_heap, sim::QueueKind::calendar}) {
+    const MetricsGuard guard;
+    sim::Kernel kernel(kind);
+    ring::StrConfig config;
+    config.stages = 8;
+    config.charlie = ring::CharlieParams::symmetric(260_ps, 123_ps);
+    ring::Str str(kernel, config,
+                  ring::make_initial_state(
+                      8, 4, ring::TokenPlacement::evenly_spread),
+                  {});
+    str.start();
+    kernel.run_events(333);
+    ASSERT_FALSE(kernel.idle());
+    kernel.reset_time();
+    EXPECT_TRUE(kernel.idle());
+    const metrics::Snapshot snap = metrics::snapshot();
+    EXPECT_GT(snap.counter(metrics::Counter::events_cancelled), 0u);
+    EXPECT_EQ(snap.counter(metrics::Counter::events_cancelled),
+              snap.counter(metrics::Counter::events_scheduled) -
+                  snap.counter(metrics::Counter::events_fired));
+  }
+}
+
+// --- counters: the kernel publishes once per run call ------------------------
+//
+// The kernel accumulates its counts and publishes them when a run call
+// returns; schedules and counts issued outside a run call publish before
+// returning. A snapshot taken between kernel calls is therefore exact.
+
+TEST(Metrics, StartSchedulesAreVisibleBeforeTheFirstRun) {
   const MetricsGuard guard;
   sim::Kernel kernel;
-  ring::IroConfig config;
-  config.stages = 3;
-  ring::Iro iro(kernel, config, {});
-  iro.start();
-  kernel.run_events(10);
-  // Exactly one successor event is pending; reset_time drops it.
-  kernel.reset_time();
+  ring::StrConfig config;
+  config.stages = 8;
+  config.charlie = ring::CharlieParams::symmetric(260_ps, 123_ps);
+  ring::Str str(kernel, config,
+                ring::make_initial_state(8, 4,
+                                         ring::TokenPlacement::evenly_spread),
+                {});
+  str.start();
+  // start() probes every stage once and schedules the four enabled ones
+  // (NT = NB = 4, evenly spread: every token faces a bubble).
   const metrics::Snapshot snap = metrics::snapshot();
-  EXPECT_EQ(snap.counter(metrics::Counter::events_cancelled), 1u);
+  EXPECT_EQ(snap.counter(metrics::Counter::token_collision_checks), 8u);
+  EXPECT_EQ(snap.counter(metrics::Counter::charlie_evaluations), 4u);
+  EXPECT_EQ(snap.counter(metrics::Counter::events_scheduled), 4u);
+  EXPECT_EQ(snap.counter(metrics::Counter::heap_pushes), 4u);
+  EXPECT_EQ(snap.counter(metrics::Counter::events_fired), 0u);
+
+  // An IRO's start() is a bare schedule, with no process count after it.
+  sim::Kernel iro_kernel;
+  ring::IroConfig iro_config;
+  iro_config.stages = 3;
+  ring::Iro iro(iro_kernel, iro_config, {});
+  iro.start();
+  EXPECT_EQ(metrics::snapshot().counter(metrics::Counter::events_scheduled),
+            5u);
+}
+
+TEST(Metrics, SnapshotIsExactBetweenShortRuns) {
+  // A noise-free IRO keeps exactly one event in flight: after any run,
+  // scheduled = fired + 1. Check it after each of several short runs, on
+  // both queue routes.
+  for (const sim::QueueKind kind :
+       {sim::QueueKind::binary_heap, sim::QueueKind::calendar}) {
+    const MetricsGuard guard;
+    sim::Kernel kernel(kind);
+    ring::IroConfig config;
+    config.stages = 5;
+    config.lut_delay = 250_ps;
+    ring::Iro iro(kernel, config, {});
+    iro.start();
+    const bool heap = kind == sim::QueueKind::binary_heap;
+    const metrics::Counter push =
+        heap ? metrics::Counter::heap_pushes : metrics::Counter::calendar_pushes;
+    const metrics::Counter pop =
+        heap ? metrics::Counter::heap_pops : metrics::Counter::calendar_pops;
+    for (int step = 1; step <= 5; ++step) {
+      kernel.run_until(Time::from_ns(3.0 * step));
+      const metrics::Snapshot snap = metrics::snapshot();
+      const std::uint64_t fired = kernel.events_fired();
+      ASSERT_GT(fired, 0u);
+      EXPECT_EQ(snap.counter(metrics::Counter::events_fired), fired) << step;
+      EXPECT_EQ(snap.counter(pop), fired) << step;
+      EXPECT_EQ(snap.counter(metrics::Counter::events_scheduled), fired + 1)
+          << step;
+      EXPECT_EQ(snap.counter(push), fired + 1) << step;
+    }
+  }
+}
+
+namespace {
+
+/// Self-rescheduling process that counts one token-collision check per
+/// fire through the kernel, and can switch metrics off or throw on a
+/// chosen fire.
+class Probe final : public sim::Process {
+ public:
+  void fire(sim::Kernel& kernel, std::uint32_t) override {
+    ++fires;
+    kernel.count(metrics::Counter::token_collision_checks);
+    if (fires == disable_at) metrics::set_enabled(false);
+    if (fires == throw_at) throw std::runtime_error("probe failure");
+    kernel.schedule_in(1_ps, self);
+  }
+  sim::NodeId self = sim::invalid_node;
+  std::uint64_t fires = 0;
+  std::uint64_t disable_at = 0;
+  std::uint64_t throw_at = 0;
+};
+
+}  // namespace
+
+TEST(Metrics, ProcessCountsPublishWithTheRunCall) {
+  const MetricsGuard guard;
+  sim::Kernel kernel;
+  Probe probe;
+  probe.self = kernel.add_process(&probe);
+  kernel.schedule_in(1_ps, probe.self);
+  for (std::uint64_t runs = 1; runs <= 3; ++runs) {
+    kernel.run_events(100);
+    const metrics::Snapshot snap = metrics::snapshot();
+    EXPECT_EQ(snap.counter(metrics::Counter::token_collision_checks),
+              100 * runs);
+    EXPECT_EQ(snap.counter(metrics::Counter::events_fired), 100 * runs);
+    EXPECT_EQ(snap.counter(metrics::Counter::events_scheduled),
+              100 * runs + 1);
+  }
+}
+
+TEST(Metrics, DisabledAtPublishTimePublishesNothing) {
+  const MetricsGuard guard;
+  sim::Kernel kernel;
+  Probe probe;
+  probe.self = kernel.add_process(&probe);
+  kernel.schedule_in(1_ps, probe.self);  // published: metrics are on
+  // Metrics go off mid-run: the whole run call publishes nothing.
+  probe.disable_at = 10;
+  kernel.run_events(50);
+  metrics::Snapshot snap = metrics::snapshot();
+  EXPECT_EQ(snap.counter(metrics::Counter::events_scheduled), 1u);
+  EXPECT_EQ(snap.counter(metrics::Counter::events_fired), 0u);
+  EXPECT_EQ(snap.counter(metrics::Counter::token_collision_checks), 0u);
+
+  // Back on: the next run publishes its own counts only; the dropped ones
+  // do not come back.
+  metrics::set_enabled(true);
+  kernel.run_events(20);
+  snap = metrics::snapshot();
+  EXPECT_EQ(snap.counter(metrics::Counter::events_scheduled), 21u);
+  EXPECT_EQ(snap.counter(metrics::Counter::events_fired), 20u);
+  EXPECT_EQ(snap.counter(metrics::Counter::token_collision_checks), 20u);
+  EXPECT_EQ(kernel.events_fired(), 70u);
+}
+
+TEST(Metrics, ThrowingFirePublishesWhatItFired) {
+  const MetricsGuard guard;
+  sim::Kernel kernel;
+  Probe probe;
+  probe.self = kernel.add_process(&probe);
+  kernel.schedule_in(1_ps, probe.self);
+  probe.throw_at = 7;
+  EXPECT_THROW(kernel.run_events(100), std::runtime_error);
+  // Seven events fired (the last one threw before rescheduling): one
+  // initial schedule plus six successors.
+  const metrics::Snapshot snap = metrics::snapshot();
+  EXPECT_EQ(snap.counter(metrics::Counter::events_fired), 7u);
+  EXPECT_EQ(snap.counter(metrics::Counter::heap_pops), 7u);
+  EXPECT_EQ(snap.counter(metrics::Counter::events_scheduled), 7u);
+  EXPECT_EQ(snap.counter(metrics::Counter::token_collision_checks), 7u);
+}
+
+TEST(Metrics, EntropyMapManifestCountersAreJobsInvariant) {
+  // Each worker's kernel publishes into that worker's counter block; the
+  // manifest's totals must not depend on how cells were sharded.
+  const core::ExperimentDescriptor* entry =
+      core::find_experiment("entropy_map");
+  ASSERT_NE(entry, nullptr);
+  // The default spec's four cells (IRO and STR, two sampling periods),
+  // with a shorter sampled stream to keep the test quick.
+  Json spec = entry->canonicalize(entry->default_spec());
+  spec.set("bits_per_cell", Json(std::int64_t(128)));
+  std::vector<metrics::Snapshot> runs;
+  for (const std::size_t jobs : {1u, 2u, 8u}) {
+    core::ExperimentOptions options;
+    options.seed = 20120312;
+    options.jobs = jobs;
+    runs.push_back(entry->run_spec(spec, core::cyclone_iii(), options).metrics);
+  }
+  ASSERT_GT(runs[0].counter(metrics::Counter::events_fired), 0u);
+  for (std::size_t r = 1; r < runs.size(); ++r) {
+    for (std::size_t i = 0; i < metrics::counter_count; ++i) {
+      EXPECT_EQ(runs[r].counters[i], runs[0].counters[i])
+          << "run " << r << " counter "
+          << metrics::counter_name(static_cast<metrics::Counter>(i));
+    }
+  }
 }
 
 TEST(Metrics, DisabledCountersStayZero) {
