@@ -12,8 +12,7 @@
 #include "core/oscillator.hpp"
 #include "noise/jitter.hpp"
 #include "ring/charlie.hpp"
-#include "ring/iro.hpp"
-#include "ring/str.hpp"
+#include "sim/event_queue.hpp"
 #include "sim/kernel.hpp"
 #include "sim/metrics.hpp"
 #include "sim/parallel.hpp"
@@ -141,55 +140,26 @@ BENCHMARK(BM_StrSimulation)->Arg(8)->Arg(96);
 
 /// Raw queue throughput: a self-similar hold-model workload (each pop pushes
 /// one event a random delay ahead) at a steady population — the classic
-/// priority-queue benchmark. Arg 0: population; Arg 1: 0 = heap, 1 = calendar.
+/// priority-queue benchmark — on FlatHeap4, the kernel's pending-event set.
+/// Arg: population.
 void BM_EventQueueHoldModel(benchmark::State& state) {
-  const auto queue = sim::make_event_queue(
-      state.range(1) == 0 ? sim::QueueKind::binary_heap
-                          : sim::QueueKind::calendar);
+  sim::FlatHeap4 queue;
   Xoshiro256 rng(5);
   std::uint64_t seq = 0;
   for (int i = 0; i < state.range(0); ++i) {
-    queue->push({Time::from_fs(static_cast<std::int64_t>(rng.below(100000))),
-                 seq++, 0, 0});
+    queue.push({Time::from_fs(static_cast<std::int64_t>(rng.below(100000))),
+                seq++, 0, 0});
   }
   for (auto _ : state) {
-    const auto event = queue->pop_min();
-    queue->push({event.at + Time::from_fs(
-                                static_cast<std::int64_t>(1 + rng.below(200000))),
-                 seq++, 0, 0});
-    benchmark::DoNotOptimize(queue->size());
+    const auto event = queue.pop_min();
+    queue.push({event.at + Time::from_fs(
+                               static_cast<std::int64_t>(1 + rng.below(200000))),
+                seq++, 0, 0});
+    benchmark::DoNotOptimize(queue.size());
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_EventQueueHoldModel)
-    ->Args({64, 0})
-    ->Args({64, 1})
-    ->Args({4096, 0})
-    ->Args({4096, 1})
-    ->Args({65536, 0})
-    ->Args({65536, 1});
-
-void BM_StrSimulationCalendarQueue(benchmark::State& state) {
-  // Full STR 96C through the calendar-queue kernel, for comparison with
-  // BM_StrSimulation (binary heap).
-  sim::Kernel kernel(sim::QueueKind::calendar);
-  ring::StrConfig config;
-  config.stages = 96;
-  config.charlie = ring::CharlieParams::symmetric(260_ps, 123_ps);
-  ring::Str str(kernel, config,
-                ring::make_initial_state(96, 48,
-                                         ring::TokenPlacement::evenly_spread),
-                {});
-  str.start();
-  std::uint64_t events = 0;
-  for (auto _ : state) {
-    const std::uint64_t before = kernel.events_fired();
-    kernel.run_until(kernel.now() + Time::from_us(1.0));
-    events += kernel.events_fired() - before;
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(events));
-}
-BENCHMARK(BM_StrSimulationCalendarQueue);
+BENCHMARK(BM_EventQueueHoldModel)->Arg(64)->Arg(4096)->Arg(65536);
 
 /// The parallel sweep engine on a real experiment driver: the full Fig. 11
 /// IRO stage list through run_jitter_vs_stages at 1/2/4/8 jobs. Tasks are

@@ -154,15 +154,7 @@ Oscillator Oscillator::build(const RingSpec& spec,
   return osc;
 }
 
-void Oscillator::advance_to(Time t) {
-  // The kernel hosts exactly one process (the ring), so run_until_on can
-  // devirtualize Process::fire into a direct call on the concrete ring type.
-  if (iro_ != nullptr) {
-    kernel_->run_until_on(*iro_, t);
-  } else {
-    kernel_->run_until_on(*str_, t);
-  }
-}
+void Oscillator::advance_to(Time t) { kernel_->run_until(t); }
 
 void Oscillator::run_periods(std::size_t n) {
   const sim::metrics::ScopedPhase phase("run");

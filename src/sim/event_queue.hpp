@@ -1,35 +1,19 @@
-// Pluggable pending-event sets for the kernel.
+// The kernel's pending-event set.
 //
-// Three implementations with identical observable behaviour (pop order is
-// (time, sequence) — the determinism contract):
-//
-//  * FlatHeap4 — the kernel's hot-path structure: a non-virtual flat 4-ary
-//    min-heap in structure-of-arrays layout. The ordering keys (time, seq)
-//    live in one dense 16-byte-per-event array so a sift touches the minimum
-//    number of cache lines; the routing payload (node, tag) is packed into a
-//    single uint64 in a parallel array and only read when an event pops.
-//    4-ary halves the tree depth of a binary heap and keeps all four
-//    children of a node inside one cache line.
-//  * BinaryHeapQueue — std::priority_queue semantics via std::*_heap; the
-//    reference implementation the equivalence tests compare against.
-//  * CalendarQueue — R. Brown's calendar queue (CACM 1988), the classic
-//    discrete-event-simulation structure: an array of "days" (buckets) of
-//    width ~ the mean event spacing gives O(1) amortized push/pop when the
-//    event-time distribution is stationary — which ring simulations are
-//    (every stage fires at a fixed mean rate). The queue resizes itself as
-//    the population grows or shrinks.
-//
-// All three are exercised by the same test suite (including a pairwise
-// pop-sequence equivalence property) and compared in bench/perf_kernel.
-// The kernel itself holds a FlatHeap4 and a CalendarQueue directly and
-// selects between them with a branch on QueueKind — no virtual dispatch on
-// the hot path (see sim/kernel.hpp); the EventQueueBase hierarchy remains
-// for tests, benches and external callers.
+// FlatHeap4 is a non-virtual flat 4-ary min-heap in structure-of-arrays
+// layout. Pop order is (time, sequence) — the determinism contract. The
+// ordering keys live in one dense 16-byte-per-event array so a sift touches
+// the minimum number of cache lines; the routing payload (node, tag) is
+// packed into a single uint64 in a parallel array and only read when an
+// event pops. 4-ary halves the tree depth of a binary heap and keeps all
+// four children of a node inside one cache line. Ring simulations keep a
+// few to a few hundred events pending, so the tree stays at most four
+// levels deep. tests/test_event_queue.cpp checks the pop sequence against
+// an ordered-set reference.
 #pragma once
 
-#include <algorithm>
+#include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "common/require.hpp"
@@ -44,87 +28,10 @@ struct QueuedEvent {
   std::uint32_t tag = 0;
 };
 
-/// Ordering contract: earlier time first; equal times in sequence order.
-inline bool earlier(const QueuedEvent& a, const QueuedEvent& b) {
-  if (a.at != b.at) return a.at < b.at;
-  return a.seq < b.seq;
-}
-
-class EventQueueBase {
- public:
-  virtual ~EventQueueBase() = default;
-  virtual void push(const QueuedEvent& event) = 0;
-  /// Precondition: !empty().
-  virtual QueuedEvent pop_min() = 0;
-  /// Precondition: !empty(). Valid until the next push/pop.
-  virtual const QueuedEvent& peek_min() = 0;
-  virtual bool empty() const = 0;
-  virtual std::size_t size() const = 0;
-  virtual void clear() = 0;
-  /// Pre-size internal storage for an expected steady pending-event
-  /// population so the hot loop never reallocates. A hint only — queues
-  /// grow past it transparently.
-  virtual void reserve(std::size_t expected_events) = 0;
-};
-
-class BinaryHeapQueue final : public EventQueueBase {
- public:
-  void push(const QueuedEvent& event) override;
-  QueuedEvent pop_min() override;
-  const QueuedEvent& peek_min() override;
-  bool empty() const override { return heap_.empty(); }
-  std::size_t size() const override { return heap_.size(); }
-  void clear() override { heap_.clear(); }
-  void reserve(std::size_t expected_events) override {
-    heap_.reserve(expected_events);
-  }
-
- private:
-  std::vector<QueuedEvent> heap_;  // std::*_heap with `later` comparator
-};
-
-class CalendarQueue final : public EventQueueBase {
- public:
-  /// `initial_width` is the starting day width; it adapts after the first
-  /// resize. Defaults to 100 ps — roughly a gate delay, a good prior for
-  /// ring workloads.
-  explicit CalendarQueue(Time initial_width = Time::from_ps(100.0));
-
-  void push(const QueuedEvent& event) override;
-  QueuedEvent pop_min() override;
-  const QueuedEvent& peek_min() override;
-  /// Earliest pending timestamp (same cached lookup as peek_min). Non-virtual
-  /// so the kernel's drain loop reads it without materializing an event.
-  Time min_at() { return peek_min().at; }
-  bool empty() const override { return size_ == 0; }
-  std::size_t size() const override { return size_; }
-  void clear() override;
-  void reserve(std::size_t expected_events) override;
-
- private:
-  std::size_t bucket_of(Time t) const;
-  void resize(std::size_t new_bucket_count);
-  /// Locate the bucket/slot of the minimum event; cached until mutation.
-  void find_min();
-
-  std::vector<std::vector<QueuedEvent>> buckets_;
-  std::int64_t width_fs_;
-  std::size_t size_ = 0;
-  // Search state: the virtual "today" advances with pops.
-  std::int64_t current_day_ = 0;  // absolute day index of the search cursor
-  // Cached minimum (bucket index + position), recomputed lazily.
-  bool min_valid_ = false;
-  std::size_t min_bucket_ = 0;
-  std::size_t min_slot_ = 0;
-};
-
-/// The kernel's hot-path pending-event set: a flat 4-ary min-heap with the
-/// ordering keys and the routing payload split into parallel arrays (see the
-/// file comment). Matches the EventQueueBase surface so the same templated
-/// tests and kernel loops run over all queue implementations, but is not
-/// virtual: every call inlines into the kernel loop. peek_min()/pop_min()
-/// return by value (the structure-of-arrays layout has no QueuedEvent to
-/// reference).
+/// A flat 4-ary min-heap with the ordering keys and the routing payload
+/// split into parallel arrays (see the file comment). Not virtual: every
+/// call inlines into the kernel loop. peek_min()/pop_min() return by value
+/// (the structure-of-arrays layout has no QueuedEvent to reference).
 class FlatHeap4 {
  public:
   void push(const QueuedEvent& event) {
@@ -168,6 +75,8 @@ class FlatHeap4 {
     keys_.clear();
     payload_.clear();
   }
+  /// Capacity hint for an expected steady population; pop order is
+  /// unaffected and the heap grows past it transparently.
   void reserve(std::size_t expected_events) {
     keys_.reserve(expected_events);
     payload_.reserve(expected_events);
@@ -264,9 +173,5 @@ inline void FlatHeap4::sift_down(std::size_t hole) {
   keys_[hole] = key;
   payload_[hole] = payload;
 }
-
-enum class QueueKind { binary_heap, calendar };
-
-std::unique_ptr<EventQueueBase> make_event_queue(QueueKind kind);
 
 }  // namespace ringent::sim

@@ -1,35 +1,39 @@
 #include "sim/kernel.hpp"
 
+#include <limits>
+
 namespace ringent::sim {
 
 std::uint64_t Kernel::run_until(Time t_end) {
-  const auto fire = [this](const QueuedEvent& event) {
-    processes_[event.node]->fire(*this, event.tag);
-  };
-  if (kind_ == QueueKind::binary_heap) {
-    return drain_until(heap_, t_end, fire);
-  }
-  return drain_until(calendar_, t_end, fire);
+  RINGENT_REQUIRE(t_end >= now_, "horizon in the past");
+  const std::uint64_t fired =
+      drain(t_end, std::numeric_limits<std::uint64_t>::max());
+  now_ = t_end;
+  return fired;
 }
 
 std::uint64_t Kernel::run_events(std::uint64_t max_events) {
-  const auto fire = [this](const QueuedEvent& event) {
+  return drain(Time::max(), max_events);
+}
+
+std::uint64_t Kernel::drain(Time t_end, std::uint64_t max_events) {
+  const Batch batch(*this);
+  std::uint64_t fired = 0;
+  while (fired < max_events && !heap_.empty() && heap_.min_at() <= t_end) {
+    const QueuedEvent event = heap_.pop_min();
+    telemetry::record(telemetry::Histogram::event_gap_fs,
+                      static_cast<std::uint64_t>((event.at - now_).fs()));
+    now_ = event.at;
+    ++events_fired_;
     processes_[event.node]->fire(*this, event.tag);
-  };
-  if (kind_ == QueueKind::binary_heap) {
-    return drain_events(heap_, max_events, fire);
+    ++fired;
   }
-  return drain_events(calendar_, max_events, fire);
+  return fired;
 }
 
 void Kernel::reset_time() {
-  if (kind_ == QueueKind::binary_heap) {
-    count(metrics::Counter::events_cancelled, heap_.size());
-    heap_.clear();
-  } else {
-    count(metrics::Counter::events_cancelled, calendar_.size());
-    calendar_.clear();
-  }
+  count(metrics::Counter::events_cancelled, heap_.size());
+  heap_.clear();
   now_ = Time::zero();
 }
 
@@ -38,15 +42,13 @@ void Kernel::publish() {
   const auto add = [this](Counter counter, std::uint64_t n) {
     pending_[static_cast<std::size_t>(counter)] += n;
   };
-  // Every schedule is one push and every fire one pop on the kernel's
-  // queue route.
+  // Every schedule is one heap push and every fire one heap pop.
   const std::uint64_t scheduled = next_seq_ - published_seq_;
   const std::uint64_t fired = events_fired_ - published_fired_;
-  const bool heap = kind_ == QueueKind::binary_heap;
   add(Counter::events_scheduled, scheduled);
-  add(heap ? Counter::heap_pushes : Counter::calendar_pushes, scheduled);
+  add(Counter::heap_pushes, scheduled);
   add(Counter::events_fired, fired);
-  add(heap ? Counter::heap_pops : Counter::calendar_pops, fired);
+  add(Counter::heap_pops, fired);
   published_seq_ = next_seq_;
   published_fired_ = events_fired_;
   metrics::bump_all(pending_);

@@ -10,26 +10,23 @@
 // address them by NodeId plus a component-defined 32-bit tag, so the hot loop
 // performs no allocation.
 //
-// Hot-path structure: the kernel owns its two pending-event sets directly —
-// a FlatHeap4 (the default) and a CalendarQueue — and selects between them
-// with a branch on QueueKind instead of a virtual call per push/pop. The
-// generic run loops dispatch Process::fire virtually; a single-process
-// simulation (every Oscillator — one ring per kernel) can instead use
-// run_until_on<P>(), which devirtualizes the fire call so a `final` ring
-// model inlines its event handler straight into the drain loop. Both paths
-// pop the identical (time, seq) sequence and publish the identical counters.
+// Hot-path structure: the kernel owns one pending-event set, a FlatHeap4
+// (sim/event_queue.hpp), by value, and both run calls drain it through one
+// loop that dispatches Process::fire virtually. Ring workloads keep a few
+// to a few hundred events pending, and a devirtualized fire route measured
+// no faster end to end (docs/architecture.md, §Kernel performance).
 // The kernel does not own processes: a ring model owns its stages and
 // registers them for the duration of a run (see ring/iro.hpp, ring/str.hpp).
 //
 // Metrics (sim/metrics.hpp) are counted by the kernel, not per event: the
-// drain loops only advance the kernel's own schedule sequence and fire
+// drain loop only advances the kernel's own schedule sequence and fire
 // count, processes add theirs through count(), and everything pending is
 // published into the calling thread's counter block once, when the
-// run_until / run_events / run_until_on call returns (or throws). A
-// schedule or count issued outside a run call publishes before returning,
-// or when the enclosing Kernel::Batch closes. The contract: a snapshot
-// taken on a thread between kernel calls is exact. metrics::enabled() is
-// read at publish time only, so the event loop does no metrics work.
+// run_until / run_events call returns (or throws). A schedule or count
+// issued outside a run call publishes before returning, or when the
+// enclosing Kernel::Batch closes. The contract: a snapshot taken on a
+// thread between kernel calls is exact. metrics::enabled() is read at
+// publish time only, so the event loop does no metrics work.
 #pragma once
 
 #include <array>
@@ -63,11 +60,7 @@ class Process {
 
 class Kernel {
  public:
-  /// The pending-event set is selectable: the default flat 4-ary heap, or a
-  /// calendar queue for large stationary workloads. Both give bit-identical
-  /// simulations — asserted by tests.
-  explicit Kernel(QueueKind queue_kind = QueueKind::binary_heap)
-      : kind_(queue_kind) {}
+  Kernel() = default;
   Kernel(const Kernel&) = delete;
   Kernel& operator=(const Kernel&) = delete;
 
@@ -84,10 +77,12 @@ class Kernel {
   std::size_t process_count() const { return processes_.size(); }
 
   /// Schedule an event `delay` after the current time. Delays must be
-  /// non-negative; zero-delay events fire after already-queued events with
-  /// the same timestamp.
+  /// non-negative and must not carry the clock past Time::max(); zero-delay
+  /// events fire after already-queued events with the same timestamp.
   void schedule_in(Time delay, NodeId node, std::uint32_t tag = 0) {
     RINGENT_REQUIRE(!delay.is_negative(), "negative delay");
+    RINGENT_REQUIRE(delay <= Time::max() - now_,
+                    "delay overflows the simulation clock");
     schedule_at(now_ + delay, node, tag);
   }
 
@@ -95,14 +90,8 @@ class Kernel {
   void schedule_at(Time at, NodeId node, std::uint32_t tag = 0) {
     RINGENT_REQUIRE(node < processes_.size(), "unknown node id");
     RINGENT_REQUIRE(at >= now_, "cannot schedule in the past");
-    const QueuedEvent event{at, next_seq_++, node, tag};
-    if (kind_ == QueueKind::binary_heap) {
-      heap_.push(event);
-      telemetry::record(telemetry::Histogram::queue_depth, heap_.size());
-    } else {
-      calendar_.push(event);
-      telemetry::record(telemetry::Histogram::queue_depth, calendar_.size());
-    }
+    heap_.push(QueuedEvent{at, next_seq_++, node, tag});
+    telemetry::record(telemetry::Histogram::queue_depth, heap_.size());
     if (!batching_) publish();
   }
 
@@ -122,9 +111,7 @@ class Kernel {
   std::uint64_t events_fired() const { return events_fired_; }
 
   /// True if no events are pending.
-  bool idle() const {
-    return kind_ == QueueKind::binary_heap ? heap_.empty() : calendar_.empty();
-  }
+  bool idle() const { return heap_.empty(); }
 
   /// Fire events until the queue is empty or the next event is later than
   /// `t_end`. Events exactly at `t_end` are fired. Returns events fired by
@@ -133,25 +120,6 @@ class Kernel {
 
   /// Fire at most `max_events` events. Returns events fired.
   std::uint64_t run_events(std::uint64_t max_events);
-
-  /// run_until for a simulation whose only registered process is `process`:
-  /// the Process::fire dispatch devirtualizes, so a `final` process type
-  /// inlines its handler into the drain loop. Falls back to the generic
-  /// run_until when other processes are registered. Identical semantics and
-  /// counters either way.
-  template <class P>
-  std::uint64_t run_until_on(P& process, Time t_end) {
-    if (processes_.size() != 1 || processes_[0] != &process) {
-      return run_until(t_end);
-    }
-    const auto fire = [this, &process](const QueuedEvent& event) {
-      process.fire(*this, event.tag);
-    };
-    if (kind_ == QueueKind::binary_heap) {
-      return drain_until(heap_, t_end, fire);
-    }
-    return drain_until(calendar_, t_end, fire);
-  }
 
   /// While a Batch is open, schedules and counts accumulate in the kernel;
   /// they are published once when it closes, on every way out (a throwing
@@ -180,11 +148,7 @@ class Kernel {
   /// Pre-size the pending-event set for an expected steady population
   /// (e.g. ~1 event per ring stage) so the hot loop never reallocates.
   void reserve_events(std::size_t expected_events) {
-    if (kind_ == QueueKind::binary_heap) {
-      heap_.reserve(expected_events);
-    } else {
-      calendar_.reserve(expected_events);
-    }
+    heap_.reserve(expected_events);
   }
 
  private:
@@ -192,48 +156,13 @@ class Kernel {
   /// thread's counter block (nothing when metrics are off) and clear it.
   void publish();
 
-  /// The shared drain loop, templated over the concrete queue type and the
-  /// fire dispatcher: the generic run loops route by event.node through the
-  /// virtual Process::fire, run_until_on passes a devirtualized handler.
-  template <class Q, class Fire>
-  std::uint64_t drain_until(Q& queue, Time t_end, const Fire& fire) {
-    RINGENT_REQUIRE(t_end >= now_, "horizon in the past");
-    const Batch batch(*this);
-    std::uint64_t fired = 0;
-    while (!queue.empty() && queue.min_at() <= t_end) {
-      const QueuedEvent event = queue.pop_min();
-      telemetry::record(telemetry::Histogram::event_gap_fs,
-                        static_cast<std::uint64_t>((event.at - now_).fs()));
-      now_ = event.at;
-      ++events_fired_;
-      fire(event);
-      ++fired;
-    }
-    now_ = t_end;
-    return fired;
-  }
-
-  template <class Q, class Fire>
-  std::uint64_t drain_events(Q& queue, std::uint64_t max_events,
-                             const Fire& fire) {
-    const Batch batch(*this);
-    std::uint64_t fired = 0;
-    while (fired < max_events && !queue.empty()) {
-      const QueuedEvent event = queue.pop_min();
-      telemetry::record(telemetry::Histogram::event_gap_fs,
-                        static_cast<std::uint64_t>((event.at - now_).fs()));
-      now_ = event.at;
-      ++events_fired_;
-      fire(event);
-      ++fired;
-    }
-    return fired;
-  }
+  /// The one drain loop behind both run calls: pop and fire events in
+  /// (time, seq) order while the next one is no later than `t_end`, at most
+  /// `max_events` of them, inside one Batch. Returns events fired.
+  std::uint64_t drain(Time t_end, std::uint64_t max_events);
 
   std::vector<Process*> processes_;
-  QueueKind kind_;
   FlatHeap4 heap_;
-  CalendarQueue calendar_;
   Time now_ = Time::zero();
   std::uint64_t next_seq_ = 0;
   std::uint64_t events_fired_ = 0;

@@ -47,8 +47,9 @@ enum class Counter : std::size_t {
   events_cancelled,        ///< pending events dropped by Kernel::reset_time
   heap_pushes,             ///< kernel schedules routed to the flat heap
   heap_pops,               ///< kernel fires popped from the flat heap
-  calendar_pushes,         ///< kernel schedules routed to the calendar queue
-  calendar_pops,           ///< kernel fires popped from the calendar queue
+  // calendar_*: kept by name for the manifest and cell schema; read 0.
+  calendar_pushes,         ///< always 0: the kernel has no calendar queue
+  calendar_pops,           ///< always 0: the kernel has no calendar queue
   charlie_evaluations,     ///< CharlieModel::fire_time calls from the STR
   token_collision_checks,  ///< STR enabled()/schedule eligibility checks
   pool_tasks,              ///< tasks executed by sim::ThreadPool

@@ -87,7 +87,7 @@ TEST(KernelEdges, ResetAllowsFreshSchedules) {
    public:
     void fire(sim::Kernel&, std::uint32_t) override {}
   };
-  sim::Kernel kernel(sim::QueueKind::calendar);
+  sim::Kernel kernel;
   Nop nop;
   const auto id = kernel.add_process(&nop);
   kernel.schedule_in(1_ns, id);

@@ -113,7 +113,7 @@ std::vector<Time> simulate_iro_edges(const ring::IroConfig& config,
                     ? gaussian_bank(config.stages, 2.0, noise_seed)
                     : std::vector<std::unique_ptr<noise::NoiseSource>>{});
   iro.start();
-  kernel.run_until_on(iro, t_end);
+  kernel.run_until(t_end);
   return iro.output().rising_edges();
 }
 
@@ -285,45 +285,30 @@ TEST(HotPath, SupplyScaleCacheMatchesDirectComputation) {
 }
 
 TEST(HotPath, StrDevirtualizedRouteMatchesVirtualCounters) {
-  // run_until_on<P> + the flat 4-ary heap is a pure devirtualization of the
-  // generic run_until route: both must execute the identical event sequence.
-  // The structural counters (heap traffic, Charlie evaluations) therefore
-  // agree exactly between routes, and stay pinned to the golden values below
-  // — any drift means a hot-path change altered behaviour, not just speed.
+  // The kernel has one route: run_until, virtual Process::fire, flat 4-ary
+  // heap. (The name predates it: a removed devirtualized route was pinned
+  // to the same counters.) The structural counters (heap traffic, Charlie
+  // evaluations) stay pinned to the golden values below — any drift means
+  // a hot-path change altered behaviour, not just speed.
   namespace metrics = sim::metrics;
-  const auto run_route = [](bool devirtualized) {
-    sim::Kernel kernel;
-    ring::StrConfig config;
-    config.stages = 8;
-    config.charlie =
-        ring::CharlieParams::symmetric(Time::from_ps(260.0), Time::from_ps(120.0));
-    ring::Str str(
-        kernel, config,
-        ring::make_initial_state(8, 4, ring::TokenPlacement::evenly_spread),
-        gaussian_bank(8, 2.0, 777));
-    str.start();
-    const metrics::Snapshot before = metrics::snapshot();
-    const Time t_end = Time::from_ns(400.0);
-    if (devirtualized) {
-      kernel.run_until_on(str, t_end);
-    } else {
-      kernel.run_until(t_end);
-    }
-    return metrics::snapshot().delta_since(before);
-  };
-
   const bool was_enabled = metrics::enabled();
   metrics::set_enabled(true);
-  const metrics::Snapshot virtual_route = run_route(false);
-  const metrics::Snapshot devirt_route = run_route(true);
+  sim::Kernel kernel;
+  ring::StrConfig config;
+  config.stages = 8;
+  config.charlie =
+      ring::CharlieParams::symmetric(Time::from_ps(260.0), Time::from_ps(120.0));
+  ring::Str str(
+      kernel, config,
+      ring::make_initial_state(8, 4, ring::TokenPlacement::evenly_spread),
+      gaussian_bank(8, 2.0, 777));
+  str.start();
+  const metrics::Snapshot before = metrics::snapshot();
+  kernel.run_until(Time::from_ns(400.0));
+  const metrics::Snapshot virtual_route =
+      metrics::snapshot().delta_since(before);
   metrics::set_enabled(was_enabled);
 
-  for (const metrics::Counter c :
-       {metrics::Counter::heap_pushes, metrics::Counter::heap_pops,
-        metrics::Counter::charlie_evaluations}) {
-    EXPECT_EQ(devirt_route.counter(c), virtual_route.counter(c))
-        << "counter " << static_cast<int>(c);
-  }
   // Golden pin: a 400 ns run of the 8-stage NT=NB ring with this noise seed.
   EXPECT_EQ(virtual_route.counter(metrics::Counter::heap_pushes), 4208u);
   EXPECT_EQ(virtual_route.counter(metrics::Counter::heap_pops), 4208u);

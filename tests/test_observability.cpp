@@ -93,8 +93,7 @@ TEST(Metrics, IroCountersMatchHandCount) {
   // A noise-free IRO is a single circulating event: start() schedules one,
   // every fire schedules exactly one successor. After run_events(N) the
   // totals are forced: N fired, N+1 scheduled (the last one still pending),
-  // and the default kernel queue is the binary heap, so the queue ops match
-  // one-to-one.
+  // and every schedule is one heap push and every fire one heap pop.
   const MetricsGuard guard;
   sim::Kernel kernel;
   ring::IroConfig config;
@@ -155,11 +154,10 @@ TEST(Metrics, ResetTimeCountsCancelledEvents) {
     EXPECT_EQ(snap.counter(metrics::Counter::events_cancelled), 1u);
   }
   // An STR keeps several events pending; reset_time cancels all of them
-  // and the count is visible at once, on either queue route.
-  for (const sim::QueueKind kind :
-       {sim::QueueKind::binary_heap, sim::QueueKind::calendar}) {
+  // and the count is visible at once.
+  {
     const MetricsGuard guard;
-    sim::Kernel kernel(kind);
+    sim::Kernel kernel;
     ring::StrConfig config;
     config.stages = 8;
     config.charlie = ring::CharlieParams::symmetric(260_ps, 123_ps);
@@ -218,33 +216,24 @@ TEST(Metrics, StartSchedulesAreVisibleBeforeTheFirstRun) {
 
 TEST(Metrics, SnapshotIsExactBetweenShortRuns) {
   // A noise-free IRO keeps exactly one event in flight: after any run,
-  // scheduled = fired + 1. Check it after each of several short runs, on
-  // both queue routes.
-  for (const sim::QueueKind kind :
-       {sim::QueueKind::binary_heap, sim::QueueKind::calendar}) {
-    const MetricsGuard guard;
-    sim::Kernel kernel(kind);
-    ring::IroConfig config;
-    config.stages = 5;
-    config.lut_delay = 250_ps;
-    ring::Iro iro(kernel, config, {});
-    iro.start();
-    const bool heap = kind == sim::QueueKind::binary_heap;
-    const metrics::Counter push =
-        heap ? metrics::Counter::heap_pushes : metrics::Counter::calendar_pushes;
-    const metrics::Counter pop =
-        heap ? metrics::Counter::heap_pops : metrics::Counter::calendar_pops;
-    for (int step = 1; step <= 5; ++step) {
-      kernel.run_until(Time::from_ns(3.0 * step));
-      const metrics::Snapshot snap = metrics::snapshot();
-      const std::uint64_t fired = kernel.events_fired();
-      ASSERT_GT(fired, 0u);
-      EXPECT_EQ(snap.counter(metrics::Counter::events_fired), fired) << step;
-      EXPECT_EQ(snap.counter(pop), fired) << step;
-      EXPECT_EQ(snap.counter(metrics::Counter::events_scheduled), fired + 1)
-          << step;
-      EXPECT_EQ(snap.counter(push), fired + 1) << step;
-    }
+  // scheduled = fired + 1. Check it after each of several short runs.
+  const MetricsGuard guard;
+  sim::Kernel kernel;
+  ring::IroConfig config;
+  config.stages = 5;
+  config.lut_delay = 250_ps;
+  ring::Iro iro(kernel, config, {});
+  iro.start();
+  for (int step = 1; step <= 5; ++step) {
+    kernel.run_until(Time::from_ns(3.0 * step));
+    const metrics::Snapshot snap = metrics::snapshot();
+    const std::uint64_t fired = kernel.events_fired();
+    ASSERT_GT(fired, 0u);
+    EXPECT_EQ(snap.counter(metrics::Counter::events_fired), fired) << step;
+    EXPECT_EQ(snap.counter(metrics::Counter::heap_pops), fired) << step;
+    EXPECT_EQ(snap.counter(metrics::Counter::events_scheduled), fired + 1)
+        << step;
+    EXPECT_EQ(snap.counter(metrics::Counter::heap_pushes), fired + 1) << step;
   }
 }
 

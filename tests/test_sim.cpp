@@ -116,6 +116,7 @@ TEST(Kernel, PreconditionsThrow) {
   kernel.schedule_in(10_ps, id);
   kernel.run_until(20_ps);
   EXPECT_THROW(kernel.schedule_at(5_ps, id), PreconditionError);
+  EXPECT_THROW(kernel.schedule_in(Time::max(), id), PreconditionError);
   EXPECT_THROW(kernel.run_until(10_ps), PreconditionError);
 }
 
