@@ -484,7 +484,8 @@ int cmd_run(const Args& args) {
     std::ostringstream text;
     text << in.rdbuf();
     // A bad spec throws ringent::Error naming the schema and the offending
-    // key (core/spec_json.cpp); main() prints it and exits 1.
+    // key (the spec's field list, common/fields.hpp); main() prints it and
+    // exits 1.
     manifest = exp->run_spec(Json::parse(text.str()), cyclone_iii(), options);
   }
   std::printf("%s — %s (%s)\n", exp->name.c_str(), exp->summary.c_str(),

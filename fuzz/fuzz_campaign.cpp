@@ -2,7 +2,8 @@
 // ("ringent.campaign-plan/1"), the store index ("ringent.campaign/1") and
 // the cell record ("ringent.campaign-cell/1") — the three documents a
 // resumable campaign reads back from disk, i.e. the torn-write detection
-// surface of campaign/store.cpp.
+// surface of campaign/store.cpp — plus the experiment spec documents every
+// plan cell is canonicalized from ("ringent.spec.<experiment>/1").
 //
 // Contract enforced on every input, per loader:
 //  * malformed documents (bad JSON, unknown schema, unknown keys, unsorted
@@ -10,6 +11,9 @@
 //    fail with ringent::Error — never crash, never accept;
 //  * an accepted document round-trips: to_json must not throw, and
 //    from_json(to_json(x)) must serialize to the identical bytes.
+// and per registry experiment: canonicalize() either rejects the input
+// with ringent::Error or returns a fixpoint — canonicalizing its dump again
+// yields the identical bytes.
 //
 // Expansion (expand_plan) is deliberately NOT fuzzed here: a structurally
 // valid plan can declare combinatorially many cells, and the fuzzer's job
@@ -23,6 +27,7 @@
 #include "campaign/store.hpp"
 #include "common/json.hpp"
 #include "common/require.hpp"
+#include "core/registry.hpp"
 
 namespace {
 
@@ -40,6 +45,21 @@ void check_loader(const ringent::Json& parsed) {
   if (reloaded.to_json().dump(2) != dumped) std::abort();
 }
 
+void check_canonicalizers(const ringent::Json& parsed) {
+  for (const auto& entry : ringent::core::experiment_registry()) {
+    ringent::Json once;
+    try {
+      once = entry.canonicalize(parsed);
+    } catch (const ringent::Error&) {
+      continue;  // rejected cleanly
+    }
+    const std::string dumped = once.dump();
+    if (entry.canonicalize(ringent::Json::parse(dumped)).dump() != dumped) {
+      std::abort();
+    }
+  }
+}
+
 }  // namespace
 
 extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
@@ -54,5 +74,6 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
   check_loader<ringent::campaign::CampaignPlan>(parsed);
   check_loader<ringent::campaign::CampaignIndex>(parsed);
   check_loader<ringent::campaign::CellRecord>(parsed);
+  check_canonicalizers(parsed);
   return 0;
 }

@@ -23,6 +23,7 @@
 #include <limits>
 #include <numeric>
 
+#include "common/fields.hpp"
 #include "common/require.hpp"
 
 namespace ringent::analysis {
@@ -420,56 +421,24 @@ void Entropy90bConfig::validate() const {
                   "autocorrelation_lags must be at most 64");
 }
 
-Json Entropy90bConfig::to_json() const {
-  Json json = Json::object();
-  json.set("schema", "ringent.entropy90b-spec/1");
-  json.set("mcv", mcv);
-  json.set("collision", collision);
-  json.set("markov", markov);
-  json.set("compression", compression);
-  json.set("t_tuple", t_tuple);
-  json.set("lrs", lrs);
-  json.set("autocorrelation_lags", static_cast<std::uint64_t>(
-                                       autocorrelation_lags));
-  return json;
-}
+namespace {
 
-Entropy90bConfig Entropy90bConfig::from_json(const Json& json) {
-  if (!json.is_object()) {
-    throw Error("entropy90b spec must be a JSON object");
-  }
-  Entropy90bConfig config;
-  for (const auto& [key, value] : json.items()) {
-    if (key == "schema") {
-      if (!value.is_string() ||
-          value.as_string() != "ringent.entropy90b-spec/1") {
-        throw Error("unsupported entropy90b spec schema");
-      }
-    } else if (key == "mcv") {
-      config.mcv = value.as_boolean();
-    } else if (key == "collision") {
-      config.collision = value.as_boolean();
-    } else if (key == "markov") {
-      config.markov = value.as_boolean();
-    } else if (key == "compression") {
-      config.compression = value.as_boolean();
-    } else if (key == "t_tuple") {
-      config.t_tuple = value.as_boolean();
-    } else if (key == "lrs") {
-      config.lrs = value.as_boolean();
-    } else if (key == "autocorrelation_lags") {
-      const std::int64_t lags = value.as_integer();
-      if (lags < 0 || lags > 64) {
-        throw Error("autocorrelation_lags must be in [0, 64]");
-      }
-      config.autocorrelation_lags = static_cast<std::size_t>(lags);
-    } else {
-      throw Error("unknown entropy90b spec key: " + key);
-    }
-  }
-  config.validate();
-  return config;
-}
+using namespace fields;
+
+constexpr auto kConfigFields = fields::spec<Entropy90bConfig>(
+    "ringent.entropy90b-spec/1", nullptr,
+    optional("mcv", &Entropy90bConfig::mcv, Boolean{}),
+    optional("collision", &Entropy90bConfig::collision, Boolean{}),
+    optional("markov", &Entropy90bConfig::markov, Boolean{}),
+    optional("compression", &Entropy90bConfig::compression, Boolean{}),
+    optional("t_tuple", &Entropy90bConfig::t_tuple, Boolean{}),
+    optional("lrs", &Entropy90bConfig::lrs, Boolean{}),
+    optional("autocorrelation_lags", &Entropy90bConfig::autocorrelation_lags,
+             Integer{.max = 64}));
+
+}  // namespace
+
+RINGENT_FIELDS_JSON(Entropy90bConfig, kConfigFields)
 
 Json Entropy90bResult::to_json() const {
   Json json = Json::object();

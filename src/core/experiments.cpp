@@ -1,5 +1,6 @@
 #include "core/experiments.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <exception>
@@ -31,6 +32,12 @@ BuildOptions base_build_options(const ExperimentOptions& options) {
   build.noise_seed = options.seed;
   build.warmup_periods = options.warmup_periods;
   return build;
+}
+
+/// Whether `axis` holds `point` (the sweep's normalization point).
+bool contains(const std::vector<double>& axis, double point) {
+  return std::any_of(axis.begin(), axis.end(),
+                     [&](double x) { return std::abs(x - point) < 1e-9; });
 }
 
 RingSpec spec_for(RingKind kind, std::size_t stages) {
@@ -117,7 +124,8 @@ std::string stage_sweep_label(RingKind kind,
 VoltageSweepResult run_voltage_sweep(const VoltageSweepSpec& sweep,
                                      const Calibration& calibration,
                                      const ExperimentOptions& options) {
-  RINGENT_REQUIRE(!sweep.voltages.empty(), "need at least one voltage");
+  RINGENT_REQUIRE(contains(sweep.voltages, calibration.nominal_voltage),
+                  "sweep must include the nominal voltage");
   const DriverScope driver_scope("voltage_sweep", sweep.ring.name(), options,
                           sweep.voltages.size());
   VoltageSweepResult out;
@@ -144,8 +152,6 @@ VoltageSweepResult run_voltage_sweep(const VoltageSweepSpec& sweep,
       out.f_nominal_mhz = point.frequency_mhz;
     }
   }
-  RINGENT_REQUIRE(out.f_nominal_mhz > 0.0,
-                  "sweep must include the nominal voltage");
 
   double f_min = out.points.front().frequency_mhz;
   double f_max = f_min;
@@ -161,7 +167,8 @@ VoltageSweepResult run_voltage_sweep(const VoltageSweepSpec& sweep,
 TemperatureSweepResult run_temperature_sweep(const TemperatureSweepSpec& sweep,
                                              const Calibration& calibration,
                                              const ExperimentOptions& options) {
-  RINGENT_REQUIRE(!sweep.temperatures.empty(), "need at least one temperature");
+  RINGENT_REQUIRE(contains(sweep.temperatures, 25.0),
+                  "sweep must include 25 C");
   const DriverScope driver_scope("temperature_sweep", sweep.ring.name(),
                                  options, sweep.temperatures.size());
   TemperatureSweepResult out;
@@ -189,7 +196,6 @@ TemperatureSweepResult run_temperature_sweep(const TemperatureSweepSpec& sweep,
       out.f_nominal_mhz = point.frequency_mhz;
     }
   }
-  RINGENT_REQUIRE(out.f_nominal_mhz > 0.0, "sweep must include 25 C");
 
   double f_min = out.points.front().frequency_mhz;
   double f_max = f_min;

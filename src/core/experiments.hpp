@@ -77,10 +77,13 @@ struct VoltageSweepSpec {
   std::vector<double> voltages;
   std::size_t periods = 400;
 
-  /// Serialized spec ("voltage_sweep" schema). to_json is total and
-  /// emits every field; from_json rejects unknown keys, reports
-  /// missing required keys by name, and validates ranges
-  /// (core/spec_json.cpp).
+  /// Serialized spec ("voltage_sweep" schema). Every spec below carries
+  /// the same three members; one field list per spec in
+  /// core/spec_json.cpp (common/fields.hpp) drives to_json (total, every
+  /// field), the strict from_json (unknown and missing keys named) and
+  /// the parse-time floors, so a spec that parses also runs (except a
+  /// voltage sweep missing the device's nominal voltage, which
+  /// run_voltage_sweep rejects before simulating).
   static constexpr std::string_view spec_schema =
       "ringent.spec.voltage_sweep/1";
   Json to_json() const;
@@ -114,10 +117,6 @@ struct TemperatureSweepSpec {
   std::vector<double> temperatures;
   std::size_t periods = 400;
 
-  /// Serialized spec ("temperature_sweep" schema). to_json is total and
-  /// emits every field; from_json rejects unknown keys, reports
-  /// missing required keys by name, and validates ranges
-  /// (core/spec_json.cpp).
   static constexpr std::string_view spec_schema =
       "ringent.spec.temperature_sweep/1";
   Json to_json() const;
@@ -149,10 +148,6 @@ struct ProcessVariabilitySpec {
   unsigned board_count = 5;
   std::size_t periods = 400;
 
-  /// Serialized spec ("process_variability" schema). to_json is total and
-  /// emits every field; from_json rejects unknown keys, reports
-  /// missing required keys by name, and validates ranges
-  /// (core/spec_json.cpp).
   static constexpr std::string_view spec_schema =
       "ringent.spec.process_variability/1";
   Json to_json() const;
@@ -187,10 +182,6 @@ struct JitterSweepSpec {
   unsigned divider_n = 8;         ///< divide by 2^n in the measurement method
   std::size_t mes_periods = 150;  ///< osc_mes periods per point
 
-  /// Serialized spec ("jitter_vs_stages" schema). to_json is total and
-  /// emits every field; from_json rejects unknown keys, reports
-  /// missing required keys by name, and validates ranges
-  /// (core/spec_json.cpp).
   static constexpr std::string_view spec_schema =
       "ringent.spec.jitter_vs_stages/1";
   Json to_json() const;
@@ -221,10 +212,6 @@ struct ModeMapSpec {
   double charlie_scale = 1.0;
   std::size_t periods = 600;
 
-  /// Serialized spec ("mode_map" schema). to_json is total and
-  /// emits every field; from_json rejects unknown keys, reports
-  /// missing required keys by name, and validates ranges
-  /// (core/spec_json.cpp).
   static constexpr std::string_view spec_schema =
       "ringent.spec.mode_map/1";
   Json to_json() const;
@@ -259,10 +246,6 @@ struct RestartSpec {
   unsigned restarts = 64;
   std::size_t edges = 256;
 
-  /// Serialized spec ("restart" schema). to_json is total and
-  /// emits every field; from_json rejects unknown keys, reports
-  /// missing required keys by name, and validates ranges
-  /// (core/spec_json.cpp).
   static constexpr std::string_view spec_schema =
       "ringent.spec.restart/1";
   Json to_json() const;
@@ -306,10 +289,6 @@ struct CoherentSweepSpec {
   unsigned board_count = 5;
   std::size_t periods = 60000;
 
-  /// Serialized spec ("coherent_boards" schema). to_json is total and
-  /// emits every field; from_json rejects unknown keys, reports
-  /// missing required keys by name, and validates ranges
-  /// (core/spec_json.cpp).
   static constexpr std::string_view spec_schema =
       "ringent.spec.coherent_boards/1";
   Json to_json() const;
@@ -341,10 +320,6 @@ struct DeterministicJitterSpec {
   double modulation_frequency_hz = 2.0e6;
   std::size_t periods = 8192;
 
-  /// Serialized spec ("deterministic_jitter" schema). to_json is total and
-  /// emits every field; from_json rejects unknown keys, reports
-  /// missing required keys by name, and validates ranges
-  /// (core/spec_json.cpp).
   static constexpr std::string_view spec_schema =
       "ringent.spec.deterministic_jitter/1";
   Json to_json() const;
@@ -376,10 +351,6 @@ struct EntropyMapSpec {
   std::size_t restart_cols = 0;
   analysis::Entropy90bConfig battery;
 
-  /// Serialized spec ("entropy_map" schema). to_json is total and
-  /// emits every field; from_json rejects unknown keys, reports
-  /// missing required keys by name, and validates ranges
-  /// (core/spec_json.cpp).
   static constexpr std::string_view spec_schema =
       "ringent.spec.entropy_map/1";
   Json to_json() const;
@@ -447,10 +418,6 @@ struct AttackResilienceSpec {
   /// the nearest integer at both tone extremes and rides the attack out.
   static AttackResilienceSpec paper_default();
 
-  /// Serialized spec ("attack_resilience" schema). to_json is total and
-  /// emits every field; from_json rejects unknown keys, reports
-  /// missing required keys by name, and validates ranges
-  /// (core/spec_json.cpp).
   static constexpr std::string_view spec_schema =
       "ringent.spec.attack_resilience/1";
   Json to_json() const;
@@ -542,10 +509,6 @@ struct EntropyServiceSpec {
 
   trng::DegradationPolicy policy;
 
-  /// Serialized spec ("entropy_service" schema). to_json is total and
-  /// emits every field; from_json rejects unknown keys, reports
-  /// missing required keys by name, and validates ranges
-  /// (core/spec_json.cpp).
   static constexpr std::string_view spec_schema =
       "ringent.spec.entropy_service/1";
   Json to_json() const;

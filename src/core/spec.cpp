@@ -8,6 +8,10 @@ const char* to_string(RingKind kind) {
   return kind == RingKind::iro ? "IRO" : "STR";
 }
 
+const char* ring_kind_name(RingKind kind) {
+  return kind == RingKind::iro ? "iro" : "str";
+}
+
 RingKind parse_ring_kind(std::string_view name) {
   if (name == "iro") return RingKind::iro;
   if (name == "str") return RingKind::str;

@@ -12,9 +12,11 @@ namespace ringent::core {
 
 enum class RingKind { iro, str };
 
+/// Display name: "IRO" / "STR".
 const char* to_string(RingKind kind);
-/// Inverse of to_string over the serialized names "iro" / "str"; throws
-/// ringent::Error on anything else.
+/// Serialized name: "iro" / "str".
+const char* ring_kind_name(RingKind kind);
+/// Inverse of ring_kind_name; throws ringent::Error on anything else.
 RingKind parse_ring_kind(std::string_view name);
 
 const char* to_string(ring::TokenPlacement placement);
@@ -47,10 +49,9 @@ struct RingSpec {
   /// Validate the spec (throws PreconditionError when unusable).
   void validate() const;
 
-  /// Serialized form: {"kind", "stages", "tokens", "placement"} — every
-  /// field always present so the canonical dump is total. from_json rejects
-  /// unknown keys and validates the result (implemented with the experiment
-  /// spec loaders in core/spec_json.cpp).
+  /// Serialized form, driven by its field list in core/spec_json.cpp
+  /// (common/fields.hpp): every field always present; from_json rejects
+  /// unknown keys and validates the result.
   Json to_json() const;
   static RingSpec from_json(const Json& json);
 };

@@ -1,26 +1,12 @@
-// JSON (de)serialization of every experiment spec struct — the uniform
-// "invoke any experiment from a serialized document" surface behind
-// ExperimentDescriptor::run_spec and the campaign runner's content keys.
-//
-// Conventions:
-//  * to_json() is total: every field is always emitted, times as exact
-//    femtosecond integers ("*_fs"), enums as their lower-case serialized
-//    names. A "schema" key ("ringent.spec.<experiment>/1") comes first.
-//  * from_json() is strict: unknown keys are rejected by name, required
-//    keys are reported by name, and every error message carries the
-//    experiment's schema id — the message a CLI user sees for a bad
-//    --spec FILE. The "schema" key itself is optional in the input but must
-//    match when present (so a spec file cannot silently run the wrong
-//    experiment).
-//  * from_json(to_json(s)).to_json() == to_json(s) byte-for-byte, which is
-//    what makes ringent::canonical_dump() of a spec a stable cache-key
-//    ingredient (fuzz/fuzz_campaign.cpp holds the plan/store loaders built
-//    on top of this to the same fixpoint contract).
-#include <cstdint>
+// The field lists of RingSpec and every experiment spec (common/fields.hpp):
+// one line per JSON key drives to_json(), the strict from_json() and the
+// parse-time floors. The floors and each list's check() hold the driver's own
+// requirements, so a spec that canonicalizes also runs — the campaign
+// runner relies on expand_plan() accepting a cell implying it will execute.
+#include <cmath>
 #include <string>
-#include <vector>
 
-#include "common/json.hpp"
+#include "common/fields.hpp"
 #include "common/require.hpp"
 #include "core/experiments.hpp"
 #include "core/spec.hpp"
@@ -30,659 +16,208 @@ namespace ringent::core {
 
 namespace {
 
-/// Strict object reader: every consumed key is recorded; finish() rejects
-/// whatever was not consumed. All messages lead with the schema id.
-class SpecReader {
- public:
-  SpecReader(const Json& json, std::string_view schema)
-      : json_(json), schema_(schema) {
-    if (!json.is_object()) {
-      throw Error(context() + ": spec must be a JSON object");
-    }
-    if (const Json* declared = json.find("schema")) {
-      if (!declared->is_string() || declared->as_string() != schema_) {
-        throw Error(context() + ": spec declares a different schema" +
-                    (declared->is_string() ? " \"" + declared->as_string() +
-                                                 "\""
-                                           : ""));
-      }
-    }
-    consumed_.emplace_back("schema");
-  }
+using namespace fields;
 
-  const Json* optional(const char* key) {
-    consumed_.emplace_back(key);
-    return json_.find(key);
-  }
+using Kind = fields::Enum<RingKind, ring_kind_name, parse_ring_kind>;
+using Placement = fields::Enum<ring::TokenPlacement, to_string,
+                               parse_token_placement>;
+using Conditioner =
+    fields::Enum<service::ConditionerKind, service::conditioner_kind_name,
+                 service::parse_conditioner_kind>;
 
-  const Json& required(const char* key) {
-    consumed_.emplace_back(key);
-    const Json* value = json_.find(key);
-    if (value == nullptr) {
-      throw Error(context() + ": missing required key \"" + key + "\"");
-    }
-    return *value;
-  }
+constexpr auto kRing = fields::object<RingSpec>(
+    "ring spec", [](const RingSpec& ring) { ring.validate(); },
+    optional("kind", &RingSpec::kind, Kind{}),
+    optional("stages", &RingSpec::stages, Integer{}),
+    optional("tokens", &RingSpec::tokens, Integer{}),
+    optional("placement", &RingSpec::placement, Placement{}));
 
-  /// Call last: reject every key the spec does not define, all at once.
-  void finish() const {
-    std::string unknown;
-    for (const auto& [key, value] : json_.items()) {
-      bool known = false;
-      for (const std::string& name : consumed_) {
-        if (key == name) {
-          known = true;
-          break;
-        }
-      }
-      if (!known) unknown += (unknown.empty() ? "\"" : ", \"") + key + "\"";
-    }
-    if (!unknown.empty()) {
-      throw Error(context() + ": unknown key(s) " + unknown);
-    }
-  }
+constexpr Integer kPeriods{.min = 2};
+constexpr ArrayOf<Integer> kStageCounts{{.min = 3}};
 
-  std::string context() const { return std::string(schema_); }
-
- private:
-  const Json& json_;
-  std::string_view schema_;
-  std::vector<std::string> consumed_;
-};
-
-std::uint64_t read_u64(const Json& value, const SpecReader& reader,
-                       const char* what, std::uint64_t min_value = 0) {
-  const std::int64_t v = value.as_integer();
-  if (v < 0 || static_cast<std::uint64_t>(v) < min_value) {
-    throw Error(reader.context() + ": \"" + what + "\" must be >= " +
-                std::to_string(min_value));
-  }
-  return static_cast<std::uint64_t>(v);
-}
-
-std::size_t read_size(const Json& value, const SpecReader& reader,
-                      const char* what, std::uint64_t min_value = 0) {
-  return static_cast<std::size_t>(read_u64(value, reader, what, min_value));
-}
-
-Time read_positive_time_fs(const Json& value, const SpecReader& reader,
-                           const char* what) {
-  const std::int64_t fs = value.as_integer();
-  if (fs <= 0) {
-    throw Error(reader.context() + ": \"" + what +
-                "\" must be a positive femtosecond count");
-  }
-  return Time::from_fs(fs);
-}
-
-std::vector<double> read_number_array(const Json& value,
-                                      const SpecReader& reader,
-                                      const char* what) {
-  if (!value.is_array() || value.size() == 0) {
-    throw Error(reader.context() + ": \"" + what +
-                "\" must be a non-empty array of numbers");
-  }
-  std::vector<double> out;
-  out.reserve(value.size());
-  for (std::size_t i = 0; i < value.size(); ++i) {
-    out.push_back(value.at(i).as_number());
-  }
-  return out;
-}
-
-std::vector<std::size_t> read_size_array(const Json& value,
-                                         const SpecReader& reader,
-                                         const char* what,
-                                         std::uint64_t min_value = 0) {
-  if (!value.is_array() || value.size() == 0) {
-    throw Error(reader.context() + ": \"" + what +
-                "\" must be a non-empty array of integers");
-  }
-  std::vector<std::size_t> out;
-  out.reserve(value.size());
-  for (std::size_t i = 0; i < value.size(); ++i) {
-    out.push_back(read_size(value.at(i), reader, what, min_value));
-  }
-  return out;
-}
-
-Json size_array_json(const std::vector<std::size_t>& values) {
-  Json out = Json::array();
-  for (const std::size_t v : values) {
-    out.push_back(static_cast<std::uint64_t>(v));
-  }
-  return out;
-}
-
-Json number_array_json(const std::vector<double>& values) {
-  Json out = Json::array();
-  for (const double v : values) out.push_back(v);
-  return out;
-}
-
-/// Wrap any ringent::Error from `fn` with the schema context, so a bad
-/// nested object (ring, policy, scenario...) still names the experiment the
-/// caller was loading.
-template <typename Fn>
-auto in_context(const SpecReader& reader, const char* what, Fn&& fn) {
+/// Reject a ring the driver's factory would refuse; `what` names the spec
+/// entry that produced it.
+void check_ring(const RingSpec& ring, const std::string& what) {
   try {
-    return fn();
+    ring.validate();
   } catch (const Error& error) {
-    throw Error(reader.context() + ": in \"" + what + "\": " + error.what());
+    throw Error(what + ": " + error.what());
   }
 }
 
-}  // namespace
-
-// --- RingSpec ---------------------------------------------------------------
-
-Json RingSpec::to_json() const {
-  Json json = Json::object();
-  json.set("kind", kind == RingKind::iro ? "iro" : "str");
-  json.set("stages", static_cast<std::uint64_t>(stages));
-  json.set("tokens", static_cast<std::uint64_t>(tokens));
-  json.set("placement", core::to_string(placement));
-  return json;
+void check_stage_counts(RingKind kind,
+                        const std::vector<std::size_t>& stage_counts) {
+  for (const std::size_t stages : stage_counts) {
+    const RingSpec ring{kind, stages};
+    check_ring(ring, "\"stage_counts\": " + ring.name());
+  }
 }
 
-RingSpec RingSpec::from_json(const Json& json) {
-  if (!json.is_object()) throw Error("ring spec must be a JSON object");
-  RingSpec spec;
-  for (const auto& [key, value] : json.items()) {
-    if (key == "kind") {
-      spec.kind = parse_ring_kind(value.as_string());
-    } else if (key == "stages") {
-      const std::int64_t stages = value.as_integer();
-      if (stages < 0) throw Error("ring stages must be non-negative");
-      spec.stages = static_cast<std::size_t>(stages);
-    } else if (key == "tokens") {
-      const std::int64_t tokens = value.as_integer();
-      if (tokens < 0) throw Error("ring tokens must be non-negative");
-      spec.tokens = static_cast<std::size_t>(tokens);
-    } else if (key == "placement") {
-      spec.placement = parse_token_placement(value.as_string());
-    } else {
-      throw Error("unknown ring spec key \"" + key + "\"");
-    }
+// The nominal-voltage rule depends on the device: run_voltage_sweep checks
+// it before simulating.
+
+constexpr auto kVoltageSweep = fields::spec<VoltageSweepSpec>(
+    VoltageSweepSpec::spec_schema, nullptr,
+    required("ring", &VoltageSweepSpec::ring, Nested{}),
+    required("voltages", &VoltageSweepSpec::voltages, ArrayOf<Number>{}),
+    optional("periods", &VoltageSweepSpec::periods, kPeriods));
+
+void check_temperature_sweep(const TemperatureSweepSpec& spec) {
+  for (const double t : spec.temperatures) {
+    if (std::abs(t - 25.0) < 1e-9) return;
   }
-  spec.validate();
-  return spec;
+  throw Error("\"temperatures\" must include 25 C (the normalization point)");
 }
 
-namespace {
+constexpr auto kTemperatureSweep = fields::spec<TemperatureSweepSpec>(
+    TemperatureSweepSpec::spec_schema, check_temperature_sweep,
+    required("ring", &TemperatureSweepSpec::ring, Nested{}),
+    required("temperatures", &TemperatureSweepSpec::temperatures,
+             ArrayOf<Number>{}),
+    optional("periods", &TemperatureSweepSpec::periods, kPeriods));
 
-std::vector<RingSpec> read_ring_array(const Json& value,
-                                      const SpecReader& reader,
-                                      const char* what) {
-  if (!value.is_array() || value.size() == 0) {
-    throw Error(reader.context() + ": \"" + what +
-                "\" must be a non-empty array of ring specs");
+constexpr auto kProcessVariability = fields::spec<ProcessVariabilitySpec>(
+    ProcessVariabilitySpec::spec_schema, nullptr,
+    required("ring", &ProcessVariabilitySpec::ring, Nested{}),
+    optional("board_count", &ProcessVariabilitySpec::board_count,
+             Integer{.min = 2}),
+    optional("periods", &ProcessVariabilitySpec::periods, kPeriods));
+
+constexpr auto kJitterSweep = fields::spec<JitterSweepSpec>(
+    JitterSweepSpec::spec_schema,
+    [](const JitterSweepSpec& spec) {
+      check_stage_counts(spec.kind, spec.stage_counts);
+    },
+    required("kind", &JitterSweepSpec::kind, Kind{}),
+    required("stage_counts", &JitterSweepSpec::stage_counts, kStageCounts),
+    optional("divider_n", &JitterSweepSpec::divider_n,
+             Integer{.min = 1, .max = 30}),
+    optional("mes_periods", &JitterSweepSpec::mes_periods, kPeriods));
+
+void check_mode_map(const ModeMapSpec& spec) {
+  for (const std::size_t tokens : spec.token_counts) {
+    check_ring(RingSpec{RingKind::str, spec.stages, tokens, spec.placement},
+               "\"token_counts\": " + std::to_string(tokens) + " tokens");
   }
-  std::vector<RingSpec> out;
-  out.reserve(value.size());
-  for (std::size_t i = 0; i < value.size(); ++i) {
-    out.push_back(in_context(reader, what,
-                             [&] { return RingSpec::from_json(value.at(i)); }));
-  }
-  return out;
 }
 
-}  // namespace
+constexpr auto kModeMap = fields::spec<ModeMapSpec>(
+    ModeMapSpec::spec_schema, check_mode_map,
+    required("stages", &ModeMapSpec::stages, Integer{.min = 3}),
+    required("token_counts", &ModeMapSpec::token_counts,
+             ArrayOf<Integer>{{.min = 1}}),
+    optional("placement", &ModeMapSpec::placement, Placement{}),
+    optional("charlie_scale", &ModeMapSpec::charlie_scale, Number{.min = 0.0}),
+    optional("periods", &ModeMapSpec::periods, kPeriods));
 
-// --- VoltageSweepSpec -------------------------------------------------------
+constexpr auto kRestart = fields::spec<RestartSpec>(
+    RestartSpec::spec_schema, nullptr,
+    required("ring", &RestartSpec::ring, Nested{}),
+    optional("restarts", &RestartSpec::restarts, Integer{.min = 8}),
+    optional("edges", &RestartSpec::edges, Integer{.min = 8}));
 
-Json VoltageSweepSpec::to_json() const {
-  Json json = Json::object();
-  json.set("schema", std::string(spec_schema));
-  json.set("ring", ring.to_json());
-  json.set("voltages", number_array_json(voltages));
-  json.set("periods", static_cast<std::uint64_t>(periods));
-  return json;
-}
+constexpr auto kCoherentSweep = fields::spec<CoherentSweepSpec>(
+    CoherentSweepSpec::spec_schema, nullptr,
+    required("ring", &CoherentSweepSpec::ring, Nested{}),
+    required("design_detune", &CoherentSweepSpec::design_detune,
+             Number{.min = 0.0, .min_open = true, .max = 0.2,
+                    .max_open = true}),
+    optional("board_count", &CoherentSweepSpec::board_count, Integer{.min = 2}),
+    optional("periods", &CoherentSweepSpec::periods, kPeriods));
 
-VoltageSweepSpec VoltageSweepSpec::from_json(const Json& json) {
-  SpecReader reader(json, spec_schema);
-  VoltageSweepSpec spec;
-  spec.ring = in_context(reader, "ring", [&] {
-    return RingSpec::from_json(reader.required("ring"));
-  });
-  spec.voltages = read_number_array(reader.required("voltages"), reader,
-                                    "voltages");
-  if (const Json* periods = reader.optional("periods")) {
-    spec.periods = read_size(*periods, reader, "periods", 2);
-  }
-  reader.finish();
-  return spec;
-}
+constexpr auto kDeterministicJitter = fields::spec<DeterministicJitterSpec>(
+    DeterministicJitterSpec::spec_schema,
+    [](const DeterministicJitterSpec& spec) {
+      check_stage_counts(spec.kind, spec.stage_counts);
+    },
+    required("kind", &DeterministicJitterSpec::kind, Kind{}),
+    required("stage_counts", &DeterministicJitterSpec::stage_counts,
+             kStageCounts),
+    optional("modulation_amplitude_v",
+             &DeterministicJitterSpec::modulation_amplitude_v,
+             Number{.min = 0.0}),
+    optional("modulation_frequency_hz",
+             &DeterministicJitterSpec::modulation_frequency_hz,
+             Number{.min = 0.0, .min_open = true}),
+    optional("periods", &DeterministicJitterSpec::periods, kPeriods));
 
-// --- TemperatureSweepSpec ---------------------------------------------------
-
-Json TemperatureSweepSpec::to_json() const {
-  Json json = Json::object();
-  json.set("schema", std::string(spec_schema));
-  json.set("ring", ring.to_json());
-  json.set("temperatures", number_array_json(temperatures));
-  json.set("periods", static_cast<std::uint64_t>(periods));
-  return json;
-}
-
-TemperatureSweepSpec TemperatureSweepSpec::from_json(const Json& json) {
-  SpecReader reader(json, spec_schema);
-  TemperatureSweepSpec spec;
-  spec.ring = in_context(reader, "ring", [&] {
-    return RingSpec::from_json(reader.required("ring"));
-  });
-  spec.temperatures = read_number_array(reader.required("temperatures"),
-                                        reader, "temperatures");
-  if (const Json* periods = reader.optional("periods")) {
-    spec.periods = read_size(*periods, reader, "periods", 2);
-  }
-  reader.finish();
-  return spec;
-}
-
-// --- ProcessVariabilitySpec -------------------------------------------------
-
-Json ProcessVariabilitySpec::to_json() const {
-  Json json = Json::object();
-  json.set("schema", std::string(spec_schema));
-  json.set("ring", ring.to_json());
-  json.set("board_count", board_count);
-  json.set("periods", static_cast<std::uint64_t>(periods));
-  return json;
-}
-
-ProcessVariabilitySpec ProcessVariabilitySpec::from_json(const Json& json) {
-  SpecReader reader(json, spec_schema);
-  ProcessVariabilitySpec spec;
-  spec.ring = in_context(reader, "ring", [&] {
-    return RingSpec::from_json(reader.required("ring"));
-  });
-  if (const Json* boards = reader.optional("board_count")) {
-    spec.board_count =
-        static_cast<unsigned>(read_u64(*boards, reader, "board_count", 2));
-  }
-  if (const Json* periods = reader.optional("periods")) {
-    spec.periods = read_size(*periods, reader, "periods", 2);
-  }
-  reader.finish();
-  return spec;
-}
-
-// --- JitterSweepSpec --------------------------------------------------------
-
-Json JitterSweepSpec::to_json() const {
-  Json json = Json::object();
-  json.set("schema", std::string(spec_schema));
-  json.set("kind", kind == RingKind::iro ? "iro" : "str");
-  json.set("stage_counts", size_array_json(stage_counts));
-  json.set("divider_n", divider_n);
-  json.set("mes_periods", static_cast<std::uint64_t>(mes_periods));
-  return json;
-}
-
-JitterSweepSpec JitterSweepSpec::from_json(const Json& json) {
-  SpecReader reader(json, spec_schema);
-  JitterSweepSpec spec;
-  spec.kind = in_context(reader, "kind", [&] {
-    return parse_ring_kind(reader.required("kind").as_string());
-  });
-  spec.stage_counts = read_size_array(reader.required("stage_counts"), reader,
-                                      "stage_counts", 3);
-  if (const Json* divider = reader.optional("divider_n")) {
-    const std::uint64_t n = read_u64(*divider, reader, "divider_n", 1);
-    if (n > 30) throw Error(reader.context() + ": \"divider_n\" must be <= 30");
-    spec.divider_n = static_cast<unsigned>(n);
-  }
-  if (const Json* periods = reader.optional("mes_periods")) {
-    spec.mes_periods = read_size(*periods, reader, "mes_periods", 2);
-  }
-  reader.finish();
-  return spec;
-}
-
-// --- ModeMapSpec ------------------------------------------------------------
-
-Json ModeMapSpec::to_json() const {
-  Json json = Json::object();
-  json.set("schema", std::string(spec_schema));
-  json.set("stages", static_cast<std::uint64_t>(stages));
-  json.set("token_counts", size_array_json(token_counts));
-  json.set("placement", core::to_string(placement));
-  json.set("charlie_scale", charlie_scale);
-  json.set("periods", static_cast<std::uint64_t>(periods));
-  return json;
-}
-
-ModeMapSpec ModeMapSpec::from_json(const Json& json) {
-  SpecReader reader(json, spec_schema);
-  ModeMapSpec spec;
-  spec.stages = read_size(reader.required("stages"), reader, "stages", 3);
-  spec.token_counts = read_size_array(reader.required("token_counts"), reader,
-                                      "token_counts", 1);
-  if (const Json* placement = reader.optional("placement")) {
-    spec.placement = in_context(reader, "placement", [&] {
-      return parse_token_placement(placement->as_string());
-    });
-  }
-  if (const Json* scale = reader.optional("charlie_scale")) {
-    spec.charlie_scale = scale->as_number();
-    if (!(spec.charlie_scale >= 0.0)) {
-      throw Error(reader.context() +
-                  ": \"charlie_scale\" must be non-negative");
-    }
-  }
-  if (const Json* periods = reader.optional("periods")) {
-    spec.periods = read_size(*periods, reader, "periods", 2);
-  }
-  reader.finish();
-  return spec;
-}
-
-// --- RestartSpec ------------------------------------------------------------
-
-Json RestartSpec::to_json() const {
-  Json json = Json::object();
-  json.set("schema", std::string(spec_schema));
-  json.set("ring", ring.to_json());
-  json.set("restarts", restarts);
-  json.set("edges", static_cast<std::uint64_t>(edges));
-  return json;
-}
-
-RestartSpec RestartSpec::from_json(const Json& json) {
-  SpecReader reader(json, spec_schema);
-  RestartSpec spec;
-  spec.ring = in_context(reader, "ring", [&] {
-    return RingSpec::from_json(reader.required("ring"));
-  });
-  if (const Json* restarts = reader.optional("restarts")) {
-    spec.restarts =
-        static_cast<unsigned>(read_u64(*restarts, reader, "restarts", 8));
-  }
-  if (const Json* edges = reader.optional("edges")) {
-    spec.edges = read_size(*edges, reader, "edges", 8);
-  }
-  reader.finish();
-  return spec;
-}
-
-// --- CoherentSweepSpec ------------------------------------------------------
-
-Json CoherentSweepSpec::to_json() const {
-  Json json = Json::object();
-  json.set("schema", std::string(spec_schema));
-  json.set("ring", ring.to_json());
-  json.set("design_detune", design_detune);
-  json.set("board_count", board_count);
-  json.set("periods", static_cast<std::uint64_t>(periods));
-  return json;
-}
-
-CoherentSweepSpec CoherentSweepSpec::from_json(const Json& json) {
-  SpecReader reader(json, spec_schema);
-  CoherentSweepSpec spec;
-  spec.ring = in_context(reader, "ring", [&] {
-    return RingSpec::from_json(reader.required("ring"));
-  });
-  spec.design_detune = reader.required("design_detune").as_number();
-  if (!(spec.design_detune > 0.0 && spec.design_detune < 0.2)) {
-    throw Error(reader.context() + ": \"design_detune\" must be in (0, 0.2)");
-  }
-  if (const Json* boards = reader.optional("board_count")) {
-    spec.board_count =
-        static_cast<unsigned>(read_u64(*boards, reader, "board_count", 1));
-  }
-  if (const Json* periods = reader.optional("periods")) {
-    spec.periods = read_size(*periods, reader, "periods", 2);
-  }
-  reader.finish();
-  return spec;
-}
-
-// --- DeterministicJitterSpec ------------------------------------------------
-
-Json DeterministicJitterSpec::to_json() const {
-  Json json = Json::object();
-  json.set("schema", std::string(spec_schema));
-  json.set("kind", kind == RingKind::iro ? "iro" : "str");
-  json.set("stage_counts", size_array_json(stage_counts));
-  json.set("modulation_amplitude_v", modulation_amplitude_v);
-  json.set("modulation_frequency_hz", modulation_frequency_hz);
-  json.set("periods", static_cast<std::uint64_t>(periods));
-  return json;
-}
-
-DeterministicJitterSpec DeterministicJitterSpec::from_json(const Json& json) {
-  SpecReader reader(json, spec_schema);
-  DeterministicJitterSpec spec;
-  spec.kind = in_context(reader, "kind", [&] {
-    return parse_ring_kind(reader.required("kind").as_string());
-  });
-  spec.stage_counts = read_size_array(reader.required("stage_counts"), reader,
-                                      "stage_counts", 3);
-  if (const Json* amp = reader.optional("modulation_amplitude_v")) {
-    spec.modulation_amplitude_v = amp->as_number();
-    if (!(spec.modulation_amplitude_v >= 0.0)) {
-      throw Error(reader.context() +
-                  ": \"modulation_amplitude_v\" must be non-negative");
-    }
-  }
-  if (const Json* freq = reader.optional("modulation_frequency_hz")) {
-    spec.modulation_frequency_hz = freq->as_number();
-    if (!(spec.modulation_frequency_hz > 0.0)) {
-      throw Error(reader.context() +
-                  ": \"modulation_frequency_hz\" must be positive");
-    }
-  }
-  if (const Json* periods = reader.optional("periods")) {
-    spec.periods = read_size(*periods, reader, "periods", 2);
-  }
-  reader.finish();
-  return spec;
-}
-
-// --- EntropyMapSpec ---------------------------------------------------------
-
-Json EntropyMapSpec::to_json() const {
-  Json json = Json::object();
-  json.set("schema", std::string(spec_schema));
-  Json kind_list = Json::array();
-  for (const RingKind kind : kinds) {
-    kind_list.push_back(kind == RingKind::iro ? "iro" : "str");
-  }
-  json.set("kinds", std::move(kind_list));
-  json.set("stage_counts", size_array_json(stage_counts));
-  Json period_list = Json::array();
-  for (const Time period : sampling_periods) period_list.push_back(period.fs());
-  json.set("sampling_periods_fs", std::move(period_list));
-  json.set("bits_per_cell", static_cast<std::uint64_t>(bits_per_cell));
-  json.set("restart_rows", static_cast<std::uint64_t>(restart_rows));
-  json.set("restart_cols", static_cast<std::uint64_t>(restart_cols));
-  json.set("battery", battery.to_json());
-  return json;
-}
-
-EntropyMapSpec EntropyMapSpec::from_json(const Json& json) {
-  SpecReader reader(json, spec_schema);
-  EntropyMapSpec spec;
-  const Json& kind_list = reader.required("kinds");
-  if (!kind_list.is_array() || kind_list.size() == 0) {
-    throw Error(reader.context() + ": \"kinds\" must be a non-empty array");
-  }
-  spec.kinds.clear();
-  for (std::size_t i = 0; i < kind_list.size(); ++i) {
-    spec.kinds.push_back(in_context(reader, "kinds", [&] {
-      return parse_ring_kind(kind_list.at(i).as_string());
-    }));
-  }
-  spec.stage_counts = read_size_array(reader.required("stage_counts"), reader,
-                                      "stage_counts", 3);
-  const Json& period_list = reader.required("sampling_periods_fs");
-  if (!period_list.is_array() || period_list.size() == 0) {
-    throw Error(reader.context() +
-                ": \"sampling_periods_fs\" must be a non-empty array");
-  }
-  for (std::size_t i = 0; i < period_list.size(); ++i) {
-    spec.sampling_periods.push_back(
-        read_positive_time_fs(period_list.at(i), reader,
-                              "sampling_periods_fs"));
-  }
-  if (const Json* bits = reader.optional("bits_per_cell")) {
-    spec.bits_per_cell = read_size(*bits, reader, "bits_per_cell", 2);
-  }
-  if (const Json* rows = reader.optional("restart_rows")) {
-    spec.restart_rows = read_size(*rows, reader, "restart_rows");
-  }
-  if (const Json* cols = reader.optional("restart_cols")) {
-    spec.restart_cols = read_size(*cols, reader, "restart_cols");
-  }
+void check_entropy_map(const EntropyMapSpec& spec) {
   if ((spec.restart_rows == 0) != (spec.restart_cols == 0)) {
-    throw Error(reader.context() +
-                ": restart_rows and restart_cols must be enabled together");
+    throw Error("restart_rows and restart_cols must be enabled together");
   }
   if (spec.restart_rows != 0 &&
       (spec.restart_rows < 2 || spec.restart_cols < 2)) {
-    throw Error(reader.context() +
-                ": restart validation needs a matrix of at least 2x2");
+    throw Error("restart validation needs a matrix of at least 2x2");
   }
-  if (const Json* battery = reader.optional("battery")) {
-    spec.battery = in_context(reader, "battery", [&] {
-      return analysis::Entropy90bConfig::from_json(*battery);
-    });
+  for (const RingKind kind : spec.kinds) {
+    check_stage_counts(kind, spec.stage_counts);
   }
-  reader.finish();
-  return spec;
 }
 
-// --- AttackResilienceSpec ---------------------------------------------------
+constexpr auto kEntropyMap = fields::spec<EntropyMapSpec>(
+    EntropyMapSpec::spec_schema, check_entropy_map,
+    required("kinds", &EntropyMapSpec::kinds, ArrayOf<Kind>{}),
+    required("stage_counts", &EntropyMapSpec::stage_counts, kStageCounts),
+    required("sampling_periods_fs", &EntropyMapSpec::sampling_periods,
+             ArrayOf<TimeFs>{{.positive = true}}),
+    optional("bits_per_cell", &EntropyMapSpec::bits_per_cell,
+             Integer{.min = 2}),
+    optional("restart_rows", &EntropyMapSpec::restart_rows, Integer{}),
+    optional("restart_cols", &EntropyMapSpec::restart_cols, Integer{}),
+    optional("battery", &EntropyMapSpec::battery, Nested{}));
 
-Json AttackResilienceSpec::to_json() const {
-  Json json = Json::object();
-  json.set("schema", std::string(spec_schema));
-  Json ring_list = Json::array();
-  for (const RingSpec& r : rings) ring_list.push_back(r.to_json());
-  json.set("rings", std::move(ring_list));
-  Json scenario_list = Json::array();
-  for (const noise::FaultScenario& s : scenarios) {
-    scenario_list.push_back(s.to_json());
+constexpr auto kAttackResilience = fields::spec<AttackResilienceSpec>(
+    AttackResilienceSpec::spec_schema, nullptr,
+    required("rings", &AttackResilienceSpec::rings, ArrayOf<Nested>{}),
+    required("scenarios", &AttackResilienceSpec::scenarios, ArrayOf<Nested>{}),
+    required("sampling_period_fs", &AttackResilienceSpec::sampling_period,
+             TimeFs{.positive = true}),
+    optional("total_bits", &AttackResilienceSpec::total_bits,
+             Integer{.min = 1}),
+    optional("policy", &AttackResilienceSpec::policy, Nested{}),
+    optional("regulator", &AttackResilienceSpec::regulator, Nested{}),
+    optional("with_backup", &AttackResilienceSpec::with_backup, Boolean{}));
+
+void check_entropy_service(const EntropyServiceSpec& spec) {
+  if ((spec.ring_capacity & (spec.ring_capacity - 1)) != 0) {
+    throw Error("\"ring_capacity\" must be a power of two");
   }
-  json.set("scenarios", std::move(scenario_list));
-  json.set("sampling_period_fs", sampling_period.fs());
-  json.set("total_bits", static_cast<std::uint64_t>(total_bits));
-  json.set("policy", policy.to_json());
-  json.set("regulator", regulator.to_json());
-  json.set("with_backup", with_backup);
-  return json;
 }
 
-AttackResilienceSpec AttackResilienceSpec::from_json(const Json& json) {
-  SpecReader reader(json, spec_schema);
-  AttackResilienceSpec spec;
-  spec.rings = read_ring_array(reader.required("rings"), reader, "rings");
-  const Json& scenario_list = reader.required("scenarios");
-  if (!scenario_list.is_array() || scenario_list.size() == 0) {
-    throw Error(reader.context() +
-                ": \"scenarios\" must be a non-empty array");
-  }
-  spec.scenarios.clear();
-  for (std::size_t i = 0; i < scenario_list.size(); ++i) {
-    spec.scenarios.push_back(in_context(reader, "scenarios", [&] {
-      return noise::FaultScenario::from_json(scenario_list.at(i));
-    }));
-  }
-  spec.sampling_period = read_positive_time_fs(
-      reader.required("sampling_period_fs"), reader, "sampling_period_fs");
-  if (const Json* bits = reader.optional("total_bits")) {
-    spec.total_bits = read_size(*bits, reader, "total_bits", 1);
-  }
-  if (const Json* policy = reader.optional("policy")) {
-    spec.policy = in_context(reader, "policy", [&] {
-      return trng::DegradationPolicy::from_json(*policy);
-    });
-  }
-  if (const Json* regulator = reader.optional("regulator")) {
-    spec.regulator = in_context(reader, "regulator", [&] {
-      return fpga::Regulator::from_json(*regulator);
-    });
-  }
-  if (const Json* backup = reader.optional("with_backup")) {
-    spec.with_backup = backup->as_boolean();
-  }
-  reader.finish();
-  return spec;
-}
+constexpr auto kEntropyService = fields::spec<EntropyServiceSpec>(
+    EntropyServiceSpec::spec_schema, check_entropy_service,
+    required("slots", &EntropyServiceSpec::slots, Integer{.min = 1}),
+    required("raw_bits_per_slot", &EntropyServiceSpec::raw_bits_per_slot,
+             Integer{.min = 8}),
+    optional("conditioner", &EntropyServiceSpec::conditioner, Conditioner{}),
+    optional("conditioner_ratio", &EntropyServiceSpec::conditioner_ratio,
+             Integer{.min = 1}),
+    optional("ring_capacity", &EntropyServiceSpec::ring_capacity,
+             Integer{.min = 2}),
+    optional("block_bytes", &EntropyServiceSpec::block_bytes,
+             Integer{.min = 1}),
+    optional("request_bytes", &EntropyServiceSpec::request_bytes,
+             Integer{.min = 1}),
+    optional("synthetic", &EntropyServiceSpec::synthetic, Boolean{}),
+    optional("ring", &EntropyServiceSpec::ring, Nested{}),
+    optional("sampling_period_fs", &EntropyServiceSpec::sampling_period,
+             TimeFs{.positive = true}),
+    optional("wait_budget_ms", &EntropyServiceSpec::wait_budget_ms, Integer{}),
+    optional("policy", &EntropyServiceSpec::policy, Nested{}));
 
-// --- EntropyServiceSpec -----------------------------------------------------
+}  // namespace
 
-Json EntropyServiceSpec::to_json() const {
-  Json json = Json::object();
-  json.set("schema", std::string(spec_schema));
-  json.set("slots", static_cast<std::uint64_t>(slots));
-  json.set("raw_bits_per_slot", raw_bits_per_slot);
-  json.set("conditioner", service::conditioner_kind_name(conditioner));
-  json.set("conditioner_ratio", static_cast<std::uint64_t>(conditioner_ratio));
-  json.set("ring_capacity", static_cast<std::uint64_t>(ring_capacity));
-  json.set("block_bytes", static_cast<std::uint64_t>(block_bytes));
-  json.set("request_bytes", static_cast<std::uint64_t>(request_bytes));
-  json.set("synthetic", synthetic);
-  json.set("ring", ring.to_json());
-  json.set("sampling_period_fs", sampling_period.fs());
-  json.set("wait_budget_ms", wait_budget_ms);
-  json.set("policy", policy.to_json());
-  return json;
-}
-
-EntropyServiceSpec EntropyServiceSpec::from_json(const Json& json) {
-  SpecReader reader(json, spec_schema);
-  EntropyServiceSpec spec;
-  spec.slots = read_size(reader.required("slots"), reader, "slots", 1);
-  spec.raw_bits_per_slot =
-      read_u64(reader.required("raw_bits_per_slot"), reader,
-               "raw_bits_per_slot", 8);
-  if (const Json* conditioner = reader.optional("conditioner")) {
-    spec.conditioner = in_context(reader, "conditioner", [&] {
-      return service::parse_conditioner_kind(conditioner->as_string());
-    });
-  }
-  if (const Json* ratio = reader.optional("conditioner_ratio")) {
-    spec.conditioner_ratio =
-        read_size(*ratio, reader, "conditioner_ratio", 1);
-  }
-  if (const Json* capacity = reader.optional("ring_capacity")) {
-    spec.ring_capacity = read_size(*capacity, reader, "ring_capacity", 2);
-    if ((spec.ring_capacity & (spec.ring_capacity - 1)) != 0) {
-      throw Error(reader.context() +
-                  ": \"ring_capacity\" must be a power of two");
-    }
-  }
-  if (const Json* block = reader.optional("block_bytes")) {
-    spec.block_bytes = read_size(*block, reader, "block_bytes", 1);
-  }
-  if (const Json* request = reader.optional("request_bytes")) {
-    spec.request_bytes = read_size(*request, reader, "request_bytes", 1);
-  }
-  if (const Json* synthetic = reader.optional("synthetic")) {
-    spec.synthetic = synthetic->as_boolean();
-  }
-  if (const Json* ring = reader.optional("ring")) {
-    spec.ring =
-        in_context(reader, "ring", [&] { return RingSpec::from_json(*ring); });
-  }
-  if (const Json* period = reader.optional("sampling_period_fs")) {
-    spec.sampling_period =
-        read_positive_time_fs(*period, reader, "sampling_period_fs");
-  }
-  if (const Json* budget = reader.optional("wait_budget_ms")) {
-    spec.wait_budget_ms = read_u64(*budget, reader, "wait_budget_ms");
-  }
-  if (const Json* policy = reader.optional("policy")) {
-    spec.policy = in_context(reader, "policy", [&] {
-      return trng::DegradationPolicy::from_json(*policy);
-    });
-  }
-  reader.finish();
-  return spec;
-}
+RINGENT_FIELDS_JSON(RingSpec, kRing)
+RINGENT_FIELDS_JSON(VoltageSweepSpec, kVoltageSweep)
+RINGENT_FIELDS_JSON(TemperatureSweepSpec, kTemperatureSweep)
+RINGENT_FIELDS_JSON(ProcessVariabilitySpec, kProcessVariability)
+RINGENT_FIELDS_JSON(JitterSweepSpec, kJitterSweep)
+RINGENT_FIELDS_JSON(ModeMapSpec, kModeMap)
+RINGENT_FIELDS_JSON(RestartSpec, kRestart)
+RINGENT_FIELDS_JSON(CoherentSweepSpec, kCoherentSweep)
+RINGENT_FIELDS_JSON(DeterministicJitterSpec, kDeterministicJitter)
+RINGENT_FIELDS_JSON(EntropyMapSpec, kEntropyMap)
+RINGENT_FIELDS_JSON(AttackResilienceSpec, kAttackResilience)
+RINGENT_FIELDS_JSON(EntropyServiceSpec, kEntropyService)
 
 }  // namespace ringent::core

@@ -2,41 +2,30 @@
 
 #include <cmath>
 
+#include "common/fields.hpp"
 #include "common/require.hpp"
 
 namespace ringent::fpga {
 
-Json Regulator::to_json() const {
-  Json json = Json::object();
-  json.set("ac_attenuation", ac_attenuation);
-  json.set("ripple_v", ripple_v);
-  json.set("ripple_frequency_hz", ripple_frequency_hz);
-  return json;
-}
+namespace {
 
-Regulator Regulator::from_json(const Json& json) {
-  if (!json.is_object()) throw Error("regulator must be a JSON object");
-  Regulator regulator;
-  for (const auto& [key, value] : json.items()) {
-    if (key == "ac_attenuation") {
-      regulator.ac_attenuation = value.as_number();
-    } else if (key == "ripple_v") {
-      regulator.ripple_v = value.as_number();
-    } else if (key == "ripple_frequency_hz") {
-      regulator.ripple_frequency_hz = value.as_number();
-    } else {
-      throw Error("unknown regulator key \"" + key + "\"");
-    }
-  }
-  if (!(regulator.ac_attenuation >= 0.0 && regulator.ac_attenuation <= 1.0)) {
-    throw Error("ac_attenuation must be in [0, 1]");
-  }
-  if (regulator.ripple_v < 0.0) throw Error("ripple_v must be non-negative");
-  if (regulator.ripple_v > 0.0 && !(regulator.ripple_frequency_hz > 0.0)) {
-    throw Error("ripple needs a positive ripple_frequency_hz");
-  }
-  return regulator;
-}
+using namespace fields;
+
+constexpr auto kRegulatorFields = fields::object<Regulator>(
+    "regulator",
+    [](const Regulator& regulator) {
+      if (regulator.ripple_v > 0.0 && !(regulator.ripple_frequency_hz > 0.0)) {
+        throw Error("ripple needs a positive ripple_frequency_hz");
+      }
+    },
+    optional("ac_attenuation", &Regulator::ac_attenuation,
+             Number{.min = 0.0, .max = 1.0}),
+    optional("ripple_v", &Regulator::ripple_v, Number{.min = 0.0}),
+    optional("ripple_frequency_hz", &Regulator::ripple_frequency_hz, Number{}));
+
+}  // namespace
+
+RINGENT_FIELDS_JSON(Regulator, kRegulatorFields)
 
 Modulation Modulation::sine(double amplitude_v, double frequency_hz,
                             double phase_rad) {

@@ -48,8 +48,9 @@ struct Regulator {
   double ripple_v = 0.0;
   double ripple_frequency_hz = 0.0;
 
-  /// Serialized form: all three fields, flat; from_json fills absent keys
-  /// with the pass-through defaults and rejects unknown keys.
+  /// Serialized form (field list in fpga/supply.cpp): all three fields,
+  /// flat; from_json fills absent keys with the pass-through defaults and
+  /// rejects unknown keys.
   Json to_json() const;
   static Regulator from_json(const Json& json);
 };

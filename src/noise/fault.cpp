@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "common/fields.hpp"
 #include "common/require.hpp"
 
 namespace ringent::noise {
@@ -35,75 +36,34 @@ bool is_supply_fault(FaultKind kind) {
          kind == FaultKind::supply_ramp;
 }
 
-Json FaultEvent::to_json() const {
-  Json json = Json::object();
-  json.set("kind", to_string(kind));
-  json.set("start_fs", start.fs());
-  json.set("stop_fs", stop.fs());
-  json.set("magnitude", magnitude);
-  json.set("frequency_hz", frequency_hz);
-  json.set("stage", static_cast<std::uint64_t>(stage));
-  return json;
-}
+namespace {
 
-FaultEvent FaultEvent::from_json(const Json& json) {
-  if (!json.is_object()) throw Error("fault event must be a JSON object");
-  FaultEvent event;
-  for (const auto& [key, value] : json.items()) {
-    if (key == "kind") {
-      event.kind = parse_fault_kind(value.as_string());
-    } else if (key == "start_fs") {
-      event.start = Time::from_fs(value.as_integer());
-    } else if (key == "stop_fs") {
-      event.stop = Time::from_fs(value.as_integer());
-    } else if (key == "magnitude") {
-      event.magnitude = value.as_number();
-    } else if (key == "frequency_hz") {
-      event.frequency_hz = value.as_number();
-    } else if (key == "stage") {
-      const std::int64_t stage = value.as_integer();
-      if (stage < 0) throw Error("fault event stage must be non-negative");
-      event.stage = static_cast<std::size_t>(stage);
-    } else {
-      throw Error("unknown fault event key \"" + key + "\"");
-    }
-  }
-  return event;
-}
+using namespace fields;
 
-Json FaultScenario::to_json() const {
-  Json json = Json::object();
-  json.set("name", name);
-  Json list = Json::array();
-  for (const FaultEvent& event : events) list.push_back(event.to_json());
-  json.set("events", std::move(list));
-  return json;
-}
+constexpr auto kFaultEventFields = fields::object<FaultEvent>(
+    "fault event", nullptr,
+    optional("kind", &FaultEvent::kind,
+             Enum<FaultKind, to_string, parse_fault_kind>{}),
+    optional("start_fs", &FaultEvent::start, TimeFs{}),
+    optional("stop_fs", &FaultEvent::stop, TimeFs{}),
+    optional("magnitude", &FaultEvent::magnitude, Number{}),
+    optional("frequency_hz", &FaultEvent::frequency_hz, Number{}),
+    optional("stage", &FaultEvent::stage, Integer{}));
 
-FaultScenario FaultScenario::from_json(const Json& json) {
-  if (!json.is_object()) throw Error("fault scenario must be a JSON object");
-  FaultScenario scenario;
-  scenario.name.clear();
-  bool saw_name = false;
-  for (const auto& [key, value] : json.items()) {
-    if (key == "name") {
-      scenario.name = value.as_string();
-      saw_name = true;
-    } else if (key == "events") {
-      if (!value.is_array()) throw Error("scenario events must be an array");
-      for (std::size_t i = 0; i < value.size(); ++i) {
-        scenario.events.push_back(FaultEvent::from_json(value.at(i)));
-      }
-    } else {
-      throw Error("unknown fault scenario key \"" + key + "\"");
-    }
-  }
-  if (!saw_name || scenario.name.empty()) {
-    throw Error("fault scenario needs a non-empty \"name\"");
-  }
-  scenario.validate();
-  return scenario;
-}
+constexpr auto kFaultScenarioFields = fields::object<FaultScenario>(
+    "fault scenario",
+    [](const FaultScenario& scenario) {
+      if (scenario.name.empty()) throw Error("\"name\" must be non-empty");
+      scenario.validate();
+    },
+    required("name", &FaultScenario::name, Text{}),
+    optional("events", &FaultScenario::events,
+             ArrayOf<Nested>{.allow_empty = true}));
+
+}  // namespace
+
+RINGENT_FIELDS_JSON(FaultEvent, kFaultEventFields)
+RINGENT_FIELDS_JSON(FaultScenario, kFaultScenarioFields)
 
 namespace {
 

@@ -76,9 +76,9 @@ struct FaultEvent {
 
   bool active_at(Time t) const { return t >= start && t < stop; }
 
-  /// Serialized form: {"kind", "start_fs", "stop_fs", "magnitude",
-  /// "frequency_hz", "stage"} — every field always present, times as exact
-  /// femtosecond integers. from_json rejects unknown keys.
+  /// Serialized form (field list in noise/fault.cpp): every field always
+  /// present, times as exact femtosecond integers. from_json rejects
+  /// unknown keys.
   Json to_json() const;
   static FaultEvent from_json(const Json& json);
 };
@@ -104,8 +104,9 @@ struct FaultScenario {
   /// (dropped). This is what a failover backup ring sees.
   FaultScenario supply_only() const;
 
-  /// Serialized form: {"name", "events"}. from_json validates the schedule
-  /// (same checks as validate()) and rejects unknown keys.
+  /// Serialized form (field list in noise/fault.cpp). from_json requires a
+  /// non-empty name, validates the schedule (same checks as validate()) and
+  /// rejects unknown keys.
   Json to_json() const;
   static FaultScenario from_json(const Json& json);
 };

@@ -3,7 +3,6 @@
 #include <chrono>
 #include <cstdlib>
 #include <ctime>
-#include <memory>
 #include <mutex>
 #include <string_view>
 
@@ -23,12 +22,14 @@ struct PhaseAccumulator {
   std::uint64_t calls = 0;
 };
 
-/// Registry of every thread's counter block plus the phase map. Blocks are
-/// heap-owned by the registry (not the thread) so a snapshot taken after a
-/// pool shut down still sees the workers' counts.
+/// Registry of the live threads' counter blocks plus the phase map. A
+/// thread's counts move into `retired` when it exits, so a snapshot taken
+/// after a pool shut down still sees the workers' counts, and the block list
+/// does not grow with the number of threads ever started.
 struct Registry {
   std::mutex mutex;
-  std::vector<std::unique_ptr<CounterBlock>> blocks;
+  CounterBlock retired;
+  std::vector<CounterBlock*> blocks{&retired};
   std::vector<std::pair<std::string, PhaseAccumulator>> phases;
 
   PhaseAccumulator& phase(std::string_view name) {
@@ -45,18 +46,32 @@ Registry& registry() {
   return *instance;
 }
 
+/// Registers the calling thread's block; retires it when the thread exits.
+struct ThreadBlock {
+  CounterBlock block;
+  ThreadBlock() {
+    const std::lock_guard<std::mutex> lock(registry().mutex);
+    registry().blocks.push_back(&block);
+  }
+  ~ThreadBlock() {
+    const std::lock_guard<std::mutex> lock(registry().mutex);
+    for (std::size_t i = 0; i < counter_count; ++i) {
+      registry().retired.values[i] += block.values[i].load();
+    }
+    std::erase(registry().blocks, &block);
+  }
+};
+
 }  // namespace
 
 CounterBlock& local_block() {
-  thread_local CounterBlock* block = [] {
-    auto owned = std::make_unique<CounterBlock>();
-    CounterBlock* raw = owned.get();
-    Registry& reg = registry();
-    std::lock_guard<std::mutex> lock(reg.mutex);
-    reg.blocks.push_back(std::move(owned));
-    return raw;
-  }();
-  return *block;
+  thread_local ThreadBlock local;
+  return local.block;
+}
+
+std::size_t registered_blocks() {
+  const std::lock_guard<std::mutex> lock(registry().mutex);
+  return registry().blocks.size();
 }
 
 }  // namespace detail

@@ -77,9 +77,14 @@ struct CounterBlock {
 
 extern std::atomic<bool> enabled_flag;
 
-/// The calling thread's counter block (registered on first use; blocks
-/// outlive their threads so late snapshots stay complete).
+/// The calling thread's counter block (registered on first use; on thread
+/// exit its counts move into the registry's retired totals, so late
+/// snapshots stay complete).
 CounterBlock& local_block();
+
+/// Number of counter blocks currently registered: one per live thread that
+/// has counted something.
+std::size_t registered_blocks();
 
 }  // namespace detail
 

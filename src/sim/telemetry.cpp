@@ -14,12 +14,14 @@ std::atomic<bool> enabled_flag{false};
 
 namespace {
 
-/// Registry of every thread's histogram block. Blocks are heap-owned by the
-/// registry (not the thread) so a snapshot taken after a pool shut down
-/// still sees the workers' observations.
+/// Registry of the live threads' histogram blocks. A thread's observations
+/// move into `retired` when it exits, so a snapshot taken after a pool shut
+/// down still sees the workers' observations, and the block list does not
+/// grow with the number of threads ever started.
 struct Registry {
   std::mutex mutex;
-  std::vector<std::unique_ptr<HistogramBlock>> blocks;
+  HistogramBlock retired;
+  std::vector<HistogramBlock*> blocks{&retired};
 };
 
 Registry& registry() {
@@ -27,18 +29,37 @@ Registry& registry() {
   return *instance;
 }
 
+/// Registers the calling thread's block (on the heap: it is too large for
+/// thread storage); retires and frees it when the thread exits.
+struct ThreadBlock {
+  std::unique_ptr<HistogramBlock> block = std::make_unique<HistogramBlock>();
+  ThreadBlock() {
+    const std::lock_guard<std::mutex> lock(registry().mutex);
+    registry().blocks.push_back(block.get());
+  }
+  ~ThreadBlock() {
+    const std::lock_guard<std::mutex> lock(registry().mutex);
+    HistogramBlock& retired = registry().retired;
+    for (std::size_t h = 0; h < histogram_count; ++h) {
+      for (std::size_t b = 0; b < bucket_count; ++b) {
+        retired.buckets[h][b] += block->buckets[h][b].load();
+      }
+      retired.sums[h] += block->sums[h].load();
+    }
+    std::erase(registry().blocks, block.get());
+  }
+};
+
 }  // namespace
 
 HistogramBlock& local_block() {
-  thread_local HistogramBlock* block = [] {
-    auto owned = std::make_unique<HistogramBlock>();
-    HistogramBlock* raw = owned.get();
-    Registry& reg = registry();
-    std::lock_guard<std::mutex> lock(reg.mutex);
-    reg.blocks.push_back(std::move(owned));
-    return raw;
-  }();
-  return *block;
+  thread_local ThreadBlock local;
+  return *local.block;
+}
+
+std::size_t registered_blocks() {
+  const std::lock_guard<std::mutex> lock(registry().mutex);
+  return registry().blocks.size();
 }
 
 void record_slow(Histogram histogram, std::uint64_t value) {

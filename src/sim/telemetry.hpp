@@ -102,9 +102,14 @@ struct HistogramBlock {
 
 extern std::atomic<bool> enabled_flag;
 
-/// The calling thread's block (registered on first use; blocks outlive
-/// their threads so late snapshots stay complete).
+/// The calling thread's block (registered on first use; on thread exit its
+/// observations move into the registry's retired totals, so late snapshots
+/// stay complete).
 HistogramBlock& local_block();
+
+/// Number of histogram blocks currently registered: one per live thread
+/// that has recorded something.
+std::size_t registered_blocks();
 
 void record_slow(Histogram histogram, std::uint64_t value);
 

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <utility>
 
+#include "common/fields.hpp"
 #include "common/require.hpp"
 #include "sim/metrics.hpp"
 #include "sim/telemetry.hpp"
@@ -23,69 +24,28 @@ std::uint64_t backoff_for_strike(std::uint64_t base, std::uint32_t strike) {
   return base << shift;
 }
 
-Json DegradationPolicy::to_json() const {
-  Json json = Json::object();
-  json.set("claimed_min_entropy", claimed_min_entropy);
-  json.set("apt_window", static_cast<std::uint64_t>(apt_window));
-  json.set("alpha_log2", alpha_log2);
-  json.set("suspect_fraction", suspect_fraction);
-  json.set("backoff_bits", backoff_bits);
-  json.set("probation_bits", probation_bits);
-  json.set("max_strikes", max_strikes);
-  json.set("failover_after_strikes", failover_after_strikes);
-  return json;
-}
+namespace {
 
-DegradationPolicy DegradationPolicy::from_json(const Json& json) {
-  if (!json.is_object()) {
-    throw Error("degradation policy must be a JSON object");
-  }
-  const auto unsigned_field = [](const Json& value, const char* what) {
-    const std::int64_t v = value.as_integer();
-    if (v < 0) {
-      throw Error(std::string("policy field '") + what +
-                  "' must be non-negative");
-    }
-    return static_cast<std::uint64_t>(v);
-  };
-  DegradationPolicy policy;
-  for (const auto& [key, value] : json.items()) {
-    if (key == "claimed_min_entropy") {
-      policy.claimed_min_entropy = value.as_number();
-    } else if (key == "apt_window") {
-      policy.apt_window =
-          static_cast<std::size_t>(unsigned_field(value, "apt_window"));
-    } else if (key == "alpha_log2") {
-      policy.alpha_log2 = value.as_number();
-    } else if (key == "suspect_fraction") {
-      policy.suspect_fraction = value.as_number();
-    } else if (key == "backoff_bits") {
-      policy.backoff_bits = unsigned_field(value, "backoff_bits");
-    } else if (key == "probation_bits") {
-      policy.probation_bits = unsigned_field(value, "probation_bits");
-    } else if (key == "max_strikes") {
-      const std::uint64_t v = unsigned_field(value, "max_strikes");
-      if (v > UINT32_MAX) throw Error("max_strikes out of range");
-      policy.max_strikes = static_cast<std::uint32_t>(v);
-    } else if (key == "failover_after_strikes") {
-      const std::uint64_t v = unsigned_field(value, "failover_after_strikes");
-      if (v > UINT32_MAX) throw Error("failover_after_strikes out of range");
-      policy.failover_after_strikes = static_cast<std::uint32_t>(v);
-    } else {
-      throw Error("unknown degradation policy key \"" + key + "\"");
-    }
-  }
-  if (!(policy.claimed_min_entropy > 0.0 &&
-        policy.claimed_min_entropy <= 1.0)) {
-    throw Error("claimed_min_entropy must be in (0, 1]");
-  }
-  if (policy.apt_window < 2) throw Error("apt_window must be at least 2");
-  if (!(policy.alpha_log2 > 0.0)) throw Error("alpha_log2 must be positive");
-  if (!(policy.suspect_fraction >= 0.0 && policy.suspect_fraction <= 1.0)) {
-    throw Error("suspect_fraction must be in [0, 1]");
-  }
-  return policy;
-}
+using namespace fields;
+
+constexpr auto kPolicyFields = fields::object<DegradationPolicy>(
+    "degradation policy", nullptr,
+    optional("claimed_min_entropy", &DegradationPolicy::claimed_min_entropy,
+             Number{.min = 0.0, .min_open = true, .max = 1.0}),
+    optional("apt_window", &DegradationPolicy::apt_window, Integer{.min = 2}),
+    optional("alpha_log2", &DegradationPolicy::alpha_log2,
+             Number{.min = 0.0, .min_open = true}),
+    optional("suspect_fraction", &DegradationPolicy::suspect_fraction,
+             Number{.min = 0.0, .max = 1.0}),
+    optional("backoff_bits", &DegradationPolicy::backoff_bits, Integer{}),
+    optional("probation_bits", &DegradationPolicy::probation_bits, Integer{}),
+    optional("max_strikes", &DegradationPolicy::max_strikes, Integer{}),
+    optional("failover_after_strikes",
+             &DegradationPolicy::failover_after_strikes, Integer{}));
+
+}  // namespace
+
+RINGENT_FIELDS_JSON(DegradationPolicy, kPolicyFields)
 
 const char* to_string(DegradationState state) {
   switch (state) {

@@ -90,9 +90,9 @@ struct DegradationPolicy {
   /// strike's re-lock; 0 disables failover.
   std::uint32_t failover_after_strikes = 2;
 
-  /// Serialized form: every field, flat. from_json fills absent keys with
-  /// the defaults above, rejects unknown keys, and range-checks
-  /// (claimed_min_entropy in (0, 1], apt_window >= 2, alpha_log2 > 0).
+  /// Serialized form (field list in trng/resilient.cpp): every field, flat.
+  /// from_json fills absent keys with the defaults above, rejects unknown
+  /// keys, and range-checks.
   Json to_json() const;
   static DegradationPolicy from_json(const Json& json);
 };

@@ -5,6 +5,7 @@
 #include <mutex>
 #include <utility>
 
+#include "common/fields.hpp"
 #include "common/require.hpp"
 
 namespace ringent::trng::telemetry {
@@ -118,36 +119,23 @@ StreamStats StreamStats::capture(std::string label,
   return out;
 }
 
-Json StreamStats::to_json() const {
-  Json root = Json::object();
-  root.set("label", label);
-  root.set("bits", bits);
-  root.set("bias", bias);
-  root.set("window_bias", window_bias);
-  Json lags = Json::array();
-  for (double r : autocorrelation) lags.push_back(r);
-  root.set("autocorrelation", std::move(lags));
-  root.set("markov_min_entropy", markov_min_entropy);
-  return root;
-}
+namespace {
 
-StreamStats StreamStats::from_json(const Json& json) {
-  RINGENT_REQUIRE(json.is_object(), "stream stats must be a JSON object");
-  StreamStats out;
-  out.label = json.at("label").as_string();
-  const std::int64_t bits = json.at("bits").as_integer();
-  RINGENT_REQUIRE(bits >= 0, "stream bit count must be non-negative");
-  out.bits = static_cast<std::uint64_t>(bits);
-  out.bias = json.at("bias").as_number();
-  out.window_bias = json.at("window_bias").as_number();
-  const Json& lags = json.at("autocorrelation");
-  RINGENT_REQUIRE(lags.is_array(), "autocorrelation must be an array");
-  for (std::size_t i = 0; i < lags.size(); ++i) {
-    out.autocorrelation.push_back(lags.at(i).as_number());
-  }
-  out.markov_min_entropy = json.at("markov_min_entropy").as_number();
-  return out;
-}
+using namespace fields;
+
+constexpr auto kStreamStatsFields = fields::object<StreamStats>(
+    "stream stats", nullptr,
+    required("label", &StreamStats::label, Text{}),
+    required("bits", &StreamStats::bits, Integer{}),
+    required("bias", &StreamStats::bias, Number{}),
+    required("window_bias", &StreamStats::window_bias, Number{}),
+    required("autocorrelation", &StreamStats::autocorrelation,
+             ArrayOf<Number>{.allow_empty = true}),
+    required("markov_min_entropy", &StreamStats::markov_min_entropy, Number{}));
+
+}  // namespace
+
+RINGENT_FIELDS_JSON(StreamStats, kStreamStatsFields)
 
 namespace {
 

@@ -83,8 +83,9 @@ struct StreamStats {
 
   static StreamStats capture(std::string label, const StreamingEntropy& s);
 
+  /// Serialized form (field list in trng/telemetry.cpp): every key
+  /// required, unknown keys rejected with ringent::Error.
   Json to_json() const;
-  /// Inverse of to_json(); throws ringent::Error on schema violations.
   static StreamStats from_json(const Json& json);
 };
 

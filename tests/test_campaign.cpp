@@ -7,6 +7,7 @@
 
 #include <unistd.h>
 
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -25,6 +26,7 @@
 #include "common/require.hpp"
 #include "core/calibration.hpp"
 #include "core/registry.hpp"
+#include "sim/metrics.hpp"
 
 using namespace ringent;
 using namespace ringent::campaign;
@@ -270,6 +272,52 @@ TEST(CampaignSpecs, DriverMinimumsAreEnforcedAtParseTime) {
   Json detune = coherent->canonicalize(coherent->default_spec());
   detune.set("design_detune", Json(0.5));  // driver ceiling is 0.2
   EXPECT_THROW(coherent->canonicalize(detune), Error);
+
+  // Shapes whose every field is in range but which the driver's ring
+  // factory (or its normalization point) refuses. Each must fail at
+  // canonicalize, naming the schema, not mid-campaign.
+  const std::pair<const char*, const char*> repros[] = {
+      // An odd token count cannot oscillate; 8 tokens leave no bubble.
+      {"mode_map", R"({"stages":8,"token_counts":[3]})"},
+      {"mode_map", R"({"stages":8,"token_counts":[8]})"},
+      // A 3-stage STR's default NT = NB rounds down to 0 tokens.
+      {"jitter_vs_stages", R"({"kind":"str","stage_counts":[3]})"},
+      {"deterministic_jitter", R"({"kind":"str","stage_counts":[3]})"},
+      {"entropy_map",
+       R"({"kinds":["str"],"stage_counts":[3],"sampling_periods_fs":[250000000]})"},
+      // F(25 C) is the normalization point.
+      {"temperature_sweep",
+       R"({"ring":{"kind":"iro","stages":3},"temperatures":[15,35]})"},
+      // The coherent driver compares at least two boards.
+      {"coherent_boards",
+       R"({"ring":{"kind":"iro","stages":3},"design_detune":0.05,"board_count":1})"},
+  };
+  for (const auto& [experiment, text] : repros) {
+    const core::ExperimentDescriptor* entry = core::find_experiment(experiment);
+    ASSERT_NE(entry, nullptr) << experiment;
+    try {
+      entry->canonicalize(Json::parse(text));
+      ADD_FAILURE() << experiment << ": accepted " << text;
+    } catch (const Error& error) {
+      EXPECT_NE(std::string(error.what()).find(entry->spec_schema),
+                std::string::npos)
+          << experiment << ": " << error.what();
+    }
+  }
+}
+
+TEST(CampaignSpecs, VoltageSweepWithoutNominalFailsBeforeSimulating) {
+  // The nominal voltage is a property of the device, so this one rule is
+  // checked by the driver, before any ring is built.
+  core::VoltageSweepSpec spec{core::RingSpec::iro(3), {1.1, 1.3}, 30};
+  sim::metrics::reset();
+  sim::metrics::set_enabled(true);
+  EXPECT_THROW(core::run_voltage_sweep(spec, core::cyclone_iii()), Error);
+  const sim::metrics::Snapshot after = sim::metrics::snapshot();
+  sim::metrics::set_enabled(false);
+  EXPECT_EQ(after.counters[static_cast<std::size_t>(
+                sim::metrics::Counter::events_fired)],
+            0u);
 }
 
 TEST(CampaignSpecs, WrongSchemaIdIsRejected) {
@@ -278,6 +326,295 @@ TEST(CampaignSpecs, WrongSchemaIdIsRejected) {
   Json spec = entry->canonicalize(entry->default_spec());
   spec.set("schema", std::string("ringent.spec.voltage_sweep/1"));
   EXPECT_THROW(entry->canonicalize(spec), Error);
+}
+
+// --- the spec contract, per experiment ---------------------------------------
+//
+// One table row per registry experiment: the keys a spec must carry, the
+// default every optional key falls back to, the parse-time floors and
+// ceilings, and the insertion-ordered dump of the canonical default. Cell
+// files store specs insertion-ordered, so that order is as much a part of
+// the on-disk bytes as the sorted canonical dump pinned above.
+
+namespace {
+
+/// A spec value one step past a floor or ceiling, and the value at it.
+/// `key` may name one nested level ("policy.apt_window"); `with` is an
+/// object merged into the default spec first (null: none), for bounds that
+/// only hold on a particular shape of spec.
+struct Bound {
+  const char* key;
+  Json outside;
+  Json inside;
+  const char* with = nullptr;
+};
+
+/// An optional key and the canonical value it falls back to when dropped.
+/// `also_drop` names a key that can only be dropped together with it.
+struct OptionalKey {
+  const char* key;
+  const char* fallback;
+  const char* also_drop = nullptr;
+};
+
+struct SpecContract {
+  const char* experiment;
+  std::vector<const char*> required;
+  std::vector<OptionalKey> optional;
+  std::vector<Bound> bounds;
+  const char* ordered_dump;
+};
+
+constexpr const char* kPolicyDefault =
+    R"({"claimed_min_entropy":0.1,"apt_window":1024,"alpha_log2":20,"suspect_fraction":0.6,"backoff_bits":256,"probation_bits":1024,"max_strikes":3,"failover_after_strikes":2})";
+
+Json above(double x) { return Json(std::nextafter(x, 2.0 * x + 1.0)); }
+Json below(double x) { return Json(std::nextafter(x, 2.0 * x - 1.0)); }
+
+std::vector<SpecContract> spec_contracts() {
+  const Json periods_floor = Json(std::int64_t(1));
+  const Json two = Json(std::int64_t(2));
+  const Json none = Json(std::int64_t(0));
+  const Json one = Json(std::int64_t(1));
+  return {
+      {"voltage_sweep",
+       {"ring", "voltages"},
+       {{"periods", "400"}},
+       {{"periods", periods_floor, two},
+        {"voltages", Json::parse("[]"), Json::parse("[1.2]")},
+        {"ring.stages", two, Json(std::int64_t(3))}},
+       R"({"schema":"ringent.spec.voltage_sweep/1","ring":{"kind":"iro","stages":3,"tokens":0,"placement":"evenly_spread"},"voltages":[1.1000000000000001,1.2,1.3],"periods":30})"},
+      {"temperature_sweep",
+       {"ring", "temperatures"},
+       {{"periods", "400"}},
+       {{"periods", periods_floor, two},
+        {"temperatures", Json::parse("[]"), Json::parse("[25]")}},
+       R"({"schema":"ringent.spec.temperature_sweep/1","ring":{"kind":"str","stages":4,"tokens":0,"placement":"evenly_spread"},"temperatures":[15,25,35],"periods":30})"},
+      {"process_variability",
+       {"ring"},
+       {{"board_count", "5"}, {"periods", "400"}},
+       {{"board_count", one, two}, {"periods", periods_floor, two}},
+       R"({"schema":"ringent.spec.process_variability/1","ring":{"kind":"iro","stages":5,"tokens":0,"placement":"evenly_spread"},"board_count":3,"periods":30})"},
+      {"jitter_vs_stages",
+       {"kind", "stage_counts"},
+       {{"divider_n", "8"}, {"mes_periods", "150"}},
+       {{"divider_n", none, one},
+        {"divider_n", Json(std::int64_t(31)), Json(std::int64_t(30))},
+        {"mes_periods", periods_floor, two},
+        {"stage_counts", Json::parse("[2]"), Json::parse("[3]")}},
+       R"({"schema":"ringent.spec.jitter_vs_stages/1","kind":"iro","stage_counts":[3,5],"divider_n":4,"mes_periods":20})"},
+      {"mode_map",
+       {"stages", "token_counts"},
+       {{"placement", R"("clustered")"},
+        {"charlie_scale", "1"},
+        {"periods", "600"}},
+       {{"stages", two, Json(std::int64_t(3)), R"({"token_counts":[2]})"},
+        // 1 token is the floor of the integer, but an STR needs an even
+        // token count: 2 is the smallest count that runs.
+        {"token_counts", Json::parse("[0]"), Json::parse("[2]")},
+        {"charlie_scale", below(0.0), Json(0.0)},
+        {"periods", periods_floor, two}},
+       R"({"schema":"ringent.spec.mode_map/1","stages":8,"token_counts":[2,4],"placement":"clustered","charlie_scale":1,"periods":120})"},
+      {"restart",
+       {"ring"},
+       {{"restarts", "64"}, {"edges", "256"}},
+       {{"restarts", Json(std::int64_t(7)), Json(std::int64_t(8))},
+        {"edges", Json(std::int64_t(7)), Json(std::int64_t(8))}},
+       R"({"schema":"ringent.spec.restart/1","ring":{"kind":"iro","stages":5,"tokens":0,"placement":"evenly_spread"},"restarts":8,"edges":16})"},
+      {"coherent_boards",
+       {"ring", "design_detune"},
+       {{"board_count", "5"}, {"periods", "60000"}},
+       {{"design_detune", Json(0.0), above(0.0)},
+        {"design_detune", Json(0.2), below(0.2)},
+        {"board_count", none, two},
+        {"periods", periods_floor, two}},
+       R"({"schema":"ringent.spec.coherent_boards/1","ring":{"kind":"iro","stages":3,"tokens":0,"placement":"evenly_spread"},"design_detune":0.050000000000000003,"board_count":2,"periods":500})"},
+      {"deterministic_jitter",
+       {"kind", "stage_counts"},
+       {{"modulation_amplitude_v", "0.05"},
+        {"modulation_frequency_hz", "2e6"},
+        {"periods", "8192"}},
+       {{"modulation_amplitude_v", below(0.0), Json(0.0)},
+        {"modulation_frequency_hz", Json(0.0), above(0.0)},
+        {"periods", periods_floor, two},
+        {"stage_counts", Json::parse("[2]"), Json::parse("[3]")}},
+       R"({"schema":"ringent.spec.deterministic_jitter/1","kind":"iro","stage_counts":[3,5],"modulation_amplitude_v":0.050000000000000003,"modulation_frequency_hz":2000000,"periods":256})"},
+      {"entropy_map",
+       {"kinds", "stage_counts", "sampling_periods_fs"},
+       {{"bits_per_cell", "4096"},
+        {"restart_rows", "0", "restart_cols"},
+        {"restart_cols", "0", "restart_rows"},
+        {"battery",
+         R"({"schema":"ringent.entropy90b-spec/1","mcv":true,"collision":true,"markov":true,"compression":true,"t_tuple":true,"lrs":true,"autocorrelation_lags":8})"}},
+       {{"kinds", Json::parse("[]"), Json::parse(R"(["iro"])")},
+        {"stage_counts", Json::parse("[2]"), Json::parse("[3]"),
+         R"({"kinds":["iro"]})"},
+        {"sampling_periods_fs", Json::parse("[0]"), Json::parse("[1]")},
+        {"bits_per_cell", one, two},
+        {"restart_rows", one, two},
+        {"restart_cols", one, two},
+        {"battery.autocorrelation_lags", Json(std::int64_t(65)),
+         Json(std::int64_t(64))}},
+       R"({"schema":"ringent.spec.entropy_map/1","kinds":["iro","str"],"stage_counts":[5],"sampling_periods_fs":[250000000,500000000],"bits_per_cell":512,"restart_rows":4,"restart_cols":32,"battery":{"schema":"ringent.entropy90b-spec/1","mcv":true,"collision":true,"markov":true,"compression":true,"t_tuple":true,"lrs":true,"autocorrelation_lags":8}})"},
+      {"attack_resilience",
+       {"rings", "scenarios", "sampling_period_fs"},
+       {{"total_bits", "4000"},
+        {"policy", kPolicyDefault},
+        {"regulator",
+         R"({"ac_attenuation":1,"ripple_v":0,"ripple_frequency_hz":0})"},
+        {"with_backup", "true"}},
+       {{"rings", Json::parse("[]"),
+         Json::parse(R"([{"kind":"str","stages":4}])")},
+        {"scenarios", Json::parse("[]"),
+         Json::parse(R"([{"name":"quiet"}])")},
+        {"sampling_period_fs", none, one},
+        {"total_bits", none, one},
+        {"policy.claimed_min_entropy", Json(0.0), above(0.0)},
+        {"policy.claimed_min_entropy", above(1.0), Json(1.0)},
+        {"policy.apt_window", one, two},
+        {"policy.alpha_log2", Json(0.0), above(0.0)},
+        {"policy.suspect_fraction", below(0.0), Json(0.0)},
+        {"policy.suspect_fraction", above(1.0), Json(1.0)},
+        {"regulator.ac_attenuation", below(0.0), Json(0.0)},
+        {"regulator.ac_attenuation", above(1.0), Json(1.0)},
+        {"regulator.ripple_v", below(0.0), Json(0.0)}},
+       R"({"schema":"ringent.spec.attack_resilience/1","rings":[{"kind":"iro","stages":25,"tokens":0,"placement":"evenly_spread"}],"scenarios":[{"name":"quiet","events":[]},{"name":"supply-tone","events":[{"kind":"supply_tone","start_fs":100000000000,"stop_fs":700000000000,"magnitude":0.103715,"frequency_hz":2000,"stage":0}]}],"sampling_period_fs":250000000,"total_bits":2000,"policy":{"claimed_min_entropy":0.29999999999999999,"apt_window":1024,"alpha_log2":20,"suspect_fraction":0.80000000000000004,"backoff_bits":256,"probation_bits":1024,"max_strikes":3,"failover_after_strikes":2},"regulator":{"ac_attenuation":1,"ripple_v":0,"ripple_frequency_hz":0},"with_backup":true})"},
+      {"entropy_service",
+       {"slots", "raw_bits_per_slot"},
+       {{"conditioner", R"("lfsr")"},
+        {"conditioner_ratio", "2"},
+        {"ring_capacity", "4096"},
+        {"block_bytes", "64"},
+        {"request_bytes", "256"},
+        {"synthetic", "true"},
+        {"ring",
+         R"({"kind":"str","stages":24,"tokens":0,"placement":"evenly_spread"})"},
+        {"sampling_period_fs", "250000000"},
+        {"wait_budget_ms", "0"},
+        {"policy", kPolicyDefault}},
+       {{"slots", none, one},
+        {"raw_bits_per_slot", Json(std::int64_t(7)), Json(std::int64_t(8))},
+        {"conditioner_ratio", none, one},
+        {"ring_capacity", one, two},
+        {"block_bytes", none, one},
+        {"request_bytes", none, one},
+        {"sampling_period_fs", none, one},
+        {"wait_budget_ms", Json(std::int64_t(-1)), none}},
+       R"({"schema":"ringent.spec.entropy_service/1","slots":2,"raw_bits_per_slot":16384,"conditioner":"lfsr","conditioner_ratio":2,"ring_capacity":4096,"block_bytes":64,"request_bytes":256,"synthetic":true,"ring":{"kind":"str","stages":24,"tokens":0,"placement":"evenly_spread"},"sampling_period_fs":250000000,"wait_budget_ms":0,"policy":{"claimed_min_entropy":0.10000000000000001,"apt_window":1024,"alpha_log2":20,"suspect_fraction":0.59999999999999998,"backoff_bits":256,"probation_bits":1024,"max_strikes":3,"failover_after_strikes":2}})"},
+  };
+}
+
+/// `spec` with `key` (one nested level allowed, "outer.inner") set to
+/// `value`.
+Json with_value(Json spec, const std::string& key, const Json& value) {
+  const std::size_t dot = key.find('.');
+  if (dot == std::string::npos) {
+    spec.set(key, value);
+    return spec;
+  }
+  const std::string outer = key.substr(0, dot);
+  spec.set(outer, with_value(spec.at(outer), key.substr(dot + 1), value));
+  return spec;
+}
+
+Json without_keys(const Json& spec, const std::set<std::string>& dropped) {
+  Json out = Json::object();
+  for (const auto& [key, value] : spec.items()) {
+    if (dropped.count(key) == 0) out.set(key, value);
+  }
+  return out;
+}
+
+const core::ExperimentDescriptor& contract_entry(const SpecContract& row) {
+  const core::ExperimentDescriptor* entry =
+      core::find_experiment(row.experiment);
+  if (entry == nullptr) {
+    throw Error(std::string("no registry entry ") + row.experiment);
+  }
+  return *entry;
+}
+
+}  // namespace
+
+TEST(CampaignSpecContract, CoversEveryRegistryExperiment) {
+  const std::vector<SpecContract> rows = spec_contracts();
+  ASSERT_EQ(rows.size(), core::experiment_registry().size());
+  for (const SpecContract& row : rows) {
+    EXPECT_NE(core::find_experiment(row.experiment), nullptr)
+        << row.experiment;
+  }
+}
+
+TEST(CampaignSpecContract, DroppingARequiredKeyThrowsNamingIt) {
+  for (const SpecContract& row : spec_contracts()) {
+    const core::ExperimentDescriptor& entry = contract_entry(row);
+    const Json spec = entry.canonicalize(entry.default_spec());
+    for (const char* key : row.required) {
+      try {
+        entry.canonicalize(without_keys(spec, {key}));
+        ADD_FAILURE() << row.experiment << ": dropping \"" << key
+                      << "\" was accepted";
+      } catch (const Error& error) {
+        const std::string what = error.what();
+        EXPECT_NE(what.find(std::string("\"") + key + "\""),
+                  std::string::npos)
+            << row.experiment << ": error does not name " << key << ": "
+            << what;
+        EXPECT_NE(what.find(entry.spec_schema), std::string::npos)
+            << row.experiment << ": " << what;
+      }
+    }
+  }
+}
+
+TEST(CampaignSpecContract, DroppingAnOptionalKeyFallsBackToItsDefault) {
+  for (const SpecContract& row : spec_contracts()) {
+    const core::ExperimentDescriptor& entry = contract_entry(row);
+    const Json spec = entry.canonicalize(entry.default_spec());
+    // Every key of the canonical form is either required or optional.
+    EXPECT_EQ(spec.size(), 1 + row.required.size() + row.optional.size())
+        << row.experiment;
+    for (const OptionalKey& optional : row.optional) {
+      std::set<std::string> dropped = {optional.key};
+      if (optional.also_drop != nullptr) dropped.insert(optional.also_drop);
+      const Json back = entry.canonicalize(without_keys(spec, dropped));
+      EXPECT_EQ(canonical_dump(back.at(optional.key)),
+                canonical_dump(Json::parse(optional.fallback)))
+          << row.experiment << "." << optional.key;
+    }
+  }
+}
+
+TEST(CampaignSpecContract, FloorsAndCeilingsHoldAtParseTime) {
+  for (const SpecContract& row : spec_contracts()) {
+    const core::ExperimentDescriptor& entry = contract_entry(row);
+    const Json spec = entry.canonicalize(entry.default_spec());
+    for (const Bound& bound : row.bounds) {
+      Json base = spec;
+      if (bound.with != nullptr) {
+        const Json patch = Json::parse(bound.with);
+        for (const auto& [key, value] : patch.items()) base.set(key, value);
+      }
+      EXPECT_THROW(entry.canonicalize(with_value(base, bound.key,
+                                                 bound.outside)),
+                   Error)
+          << row.experiment << "." << bound.key << " = "
+          << bound.outside.dump();
+      EXPECT_NO_THROW(entry.canonicalize(with_value(base, bound.key,
+                                                    bound.inside)))
+          << row.experiment << "." << bound.key << " = "
+          << bound.inside.dump();
+    }
+  }
+}
+
+TEST(CampaignSpecContract, InsertionOrderedDefaultIsPinned) {
+  for (const SpecContract& row : spec_contracts()) {
+    const core::ExperimentDescriptor& entry = contract_entry(row);
+    EXPECT_EQ(entry.canonicalize(entry.default_spec()).dump(),
+              row.ordered_dump)
+        << row.experiment;
+  }
 }
 
 // --- plan parsing and expansion ----------------------------------------------

@@ -12,6 +12,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/json.hpp"
@@ -19,6 +20,7 @@
 #include "core/calibration.hpp"
 #include "core/experiments.hpp"
 #include "core/export.hpp"
+#include "sim/metrics.hpp"
 #include "sim/telemetry.hpp"
 #include "trng/telemetry.hpp"
 
@@ -197,6 +199,44 @@ TEST(TelemetryRegistry, DeltaSinceIsolatesARun) {
   ASSERT_EQ(h.buckets.size(), 1u);
   EXPECT_EQ(h.buckets[0].first, 2u);
   EXPECT_EQ(h.buckets[0].second, 2u);
+}
+
+TEST(TelemetryRegistry, ExitedThreadsRetireTheirBlocksWithExactTotals) {
+  namespace metrics = sim::metrics;
+  TelemetryScope scope;
+  const bool metrics_were_enabled = metrics::enabled();
+  metrics::reset();
+  metrics::set_enabled(true);
+  const std::size_t metric_blocks = metrics::detail::registered_blocks();
+  const std::size_t histogram_blocks = histo::detail::registered_blocks();
+
+  // One short-lived thread at a time: each registers a block of each kind,
+  // counts, and exits before the next starts.
+  constexpr std::uint64_t kThreads = 64;
+  for (std::uint64_t t = 0; t < kThreads; ++t) {
+    std::thread worker([t] {
+      metrics::bump(metrics::Counter::pool_tasks, t + 1);
+      histo::record(histo::Histogram::queue_depth, t);
+    });
+    worker.join();
+  }
+
+  EXPECT_EQ(metrics::detail::registered_blocks(), metric_blocks);
+  EXPECT_EQ(histo::detail::registered_blocks(), histogram_blocks);
+  EXPECT_EQ(metrics::snapshot().counter(metrics::Counter::pool_tasks),
+            kThreads * (kThreads + 1) / 2);
+  const auto depth =
+      histo::snapshot().histogram(histo::Histogram::queue_depth);
+  EXPECT_EQ(depth.count, kThreads);
+  EXPECT_EQ(depth.sum, kThreads * (kThreads - 1) / 2);
+
+  // reset() clears what exited threads left behind, too.
+  metrics::reset();
+  histo::reset();
+  EXPECT_EQ(metrics::snapshot().counter(metrics::Counter::pool_tasks), 0u);
+  EXPECT_EQ(histo::snapshot().histogram(histo::Histogram::queue_depth).count,
+            0u);
+  metrics::set_enabled(metrics_were_enabled);
 }
 
 // --- determinism across worker counts ---------------------------------------
