@@ -9,10 +9,9 @@
 #include <vector>
 
 #include "core/calibration.hpp"
+#include "core/oscillator.hpp"
 #include "core/report.hpp"
 #include "ring/mode.hpp"
-#include "ring/str.hpp"
-#include "sim/kernel.hpp"
 
 using namespace ringent;
 using namespace ringent::core;
@@ -21,20 +20,21 @@ namespace {
 
 ring::LockingResult lock_time(std::size_t stages, std::size_t tokens,
                               double charlie_scale) {
-  const auto& cal = cyclone_iii();
-  sim::Kernel kernel;
-  ring::StrConfig config;
-  config.stages = stages;
-  config.charlie = ring::CharlieParams::symmetric(
-      cal.str_d_static, cal.str_d_charlie.scaled(charlie_scale));
-  ring::Str str(kernel, config,
-                ring::make_initial_state(stages, tokens,
-                                         ring::TokenPlacement::clustered),
-                {});
-  str.start();
-  kernel.run_until(Time::from_us(40.0));
+  // The bare calibrated stage, Charlie magnitude scaled: no routing, no
+  // noise, every transition recorded from t = 0.
+  Calibration cal = cyclone_iii();
+  cal.str_d_charlie = cal.str_d_charlie.scaled(charlie_scale);
+  cal.str_routing =
+      fpga::RoutingModel({{3, Time::zero()}, {4, Time::zero()}});
+  BuildOptions options;
+  options.sigma_g_ps = 0.0;
+  options.warmup_periods = 0;
+  Oscillator osc = Oscillator::build(
+      RingSpec::str(stages, tokens, ring::TokenPlacement::clustered), cal,
+      options);
+  osc.run_for(Time::from_us(40.0));
   std::vector<Time> times;
-  for (const auto& tr : str.output().transitions()) times.push_back(tr.at);
+  for (const auto& tr : osc.output().transitions()) times.push_back(tr.at);
   return ring::time_to_lock(times, 48, 0.05);
 }
 

@@ -12,9 +12,8 @@
 #include <vector>
 
 #include "core/calibration.hpp"
+#include "core/oscillator.hpp"
 #include "ring/mode.hpp"
-#include "ring/str.hpp"
-#include "sim/kernel.hpp"
 #include "sim/ascii_wave.hpp"
 #include "sim/vcd.hpp"
 
@@ -24,28 +23,32 @@ using namespace ringent::literals;
 namespace {
 
 void demo(const char* label, Time d_charlie, const char* vcd_path) {
-  const auto& cal = core::cyclone_iii();
-  sim::Kernel kernel;
-  ring::StrConfig config;
-  config.stages = 16;
-  config.charlie = ring::CharlieParams::symmetric(cal.str_d_static, d_charlie);
-  config.trace_all_stages = true;
-  ring::Str str(kernel, config,
-                ring::make_initial_state(16, 4, ring::TokenPlacement::clustered),
-                {});
-  str.start();
+  // The bare calibrated stage with the Charlie magnitude under study: no
+  // routing, no noise, every transition recorded from t = 0.
+  core::Calibration cal = core::cyclone_iii();
+  cal.str_d_charlie = d_charlie;
+  cal.str_routing =
+      fpga::RoutingModel({{3, Time::zero()}, {4, Time::zero()}});
+  core::BuildOptions options;
+  options.sigma_g_ps = 0.0;
+  options.warmup_periods = 0;
+  options.trace_all_stages = true;
+  core::Oscillator osc = core::Oscillator::build(
+      core::RingSpec::str(16, 4, ring::TokenPlacement::clustered), cal,
+      options);
+  const ring::Str& str = *osc.str();
 
   std::printf("--- %s (Dch = %.1f ps), 16 stages, NT=4 clustered ---\n", label,
               d_charlie.ps());
   std::printf("    time      token raster (T = token)\n");
   for (int snapshot = 0; snapshot < 24; ++snapshot) {
-    std::printf("  %7.2f ns  %s\n", kernel.now().ns(),
+    std::printf("  %7.2f ns  %s\n", osc.now().ns(),
                 ring::token_string(str.state()).c_str());
-    kernel.run_until(kernel.now() + Time::from_ps(650.0));
+    osc.run_for(Time::from_ps(650.0));
   }
 
   // Let it settle further, then classify from one stage's transitions.
-  kernel.run_until(kernel.now() + Time::from_us(1.0));
+  osc.run_for(Time::from_us(1.0));
   std::vector<Time> times;
   for (const auto& tr : str.output().transitions()) times.push_back(tr.at);
   // Skip the locking transient.

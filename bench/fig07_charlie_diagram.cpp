@@ -10,11 +10,9 @@
 
 #include "common/rng.hpp"
 #include "core/calibration.hpp"
-#include "noise/jitter.hpp"
+#include "core/oscillator.hpp"
 #include "ring/charlie.hpp"
 #include "ring/diagram.hpp"
-#include "ring/str.hpp"
-#include "sim/kernel.hpp"
 
 using namespace ringent;
 
@@ -62,26 +60,24 @@ int main() {
   std::printf("\n# measured Charlie curve from running 32-stage STRs "
               "(NT = 4..28, 8 ps probe noise)\n");
   std::printf("s_measured_ps,latency_measured_ps,latency_eq3_ps,samples\n");
+  // The bare calibrated stage (no routing), every transition recorded
+  // from t = 0.
+  core::Calibration bare = cal;
+  bare.str_routing =
+      fpga::RoutingModel({{3, Time::zero()}, {4, Time::zero()}});
   std::vector<ring::CharliePoint> points;
   for (std::size_t tokens : {4u, 8u, 12u, 16u, 20u, 24u, 28u}) {
-    sim::Kernel kernel;
-    ring::StrConfig config;
-    config.stages = 32;
-    config.charlie = ring::CharlieParams::symmetric(cal.str_d_static,
-                                                    cal.str_d_charlie);
-    config.trace_all_stages = true;
-    std::vector<std::unique_ptr<noise::NoiseSource>> probe_noise;
-    for (std::size_t i = 0; i < 32; ++i) {
-      probe_noise.push_back(std::make_unique<noise::GaussianNoise>(
-          8.0, derive_seed(7, "probe", tokens * 100 + i)));
-    }
-    ring::Str str(kernel, config,
-                  ring::make_initial_state(32, tokens,
-                                           ring::TokenPlacement::evenly_spread),
-                  std::move(probe_noise));
-    str.start();
-    kernel.run_until(Time::from_us(3.0));
-    const auto extracted = ring::extract_charlie_points(str.stage_traces(), 64);
+    core::BuildOptions options;
+    options.sigma_g_ps = 8.0;
+    options.noise_seed = derive_seed(7, "probe", tokens);
+    options.warmup_periods = 0;
+    options.trace_all_stages = true;
+    core::Oscillator osc = core::Oscillator::build(
+        core::RingSpec::str(32, tokens, ring::TokenPlacement::evenly_spread),
+        bare, options);
+    osc.run_for(Time::from_us(3.0));
+    const auto extracted =
+        ring::extract_charlie_points(osc.str()->stage_traces(), 64);
     points.insert(points.end(), extracted.begin(), extracted.end());
   }
   for (const auto& bin : ring::binned_charlie_curve(points, 25.0, 50)) {

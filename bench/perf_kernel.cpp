@@ -1,6 +1,6 @@
-// google-benchmark microbenchmarks for the simulation substrate: event
-// kernel throughput and full ring models (events/second), plus the Charlie
-// arithmetic.
+// google-benchmark microbenchmarks for the simulation substrate: full ring
+// models (events/second, each ring running its own event loop), the STR's
+// pending-event set, and the Charlie arithmetic.
 #include <benchmark/benchmark.h>
 
 #include <memory>
@@ -10,10 +10,10 @@
 #include "core/calibration.hpp"
 #include "core/experiments.hpp"
 #include "core/oscillator.hpp"
+#include "fpga/supply.hpp"
 #include "noise/jitter.hpp"
 #include "ring/charlie.hpp"
 #include "sim/event_queue.hpp"
-#include "sim/kernel.hpp"
 #include "sim/metrics.hpp"
 #include "sim/parallel.hpp"
 #include "sim/telemetry.hpp"
@@ -23,79 +23,42 @@ using namespace ringent::literals;
 
 namespace {
 
-/// Minimal self-rescheduling process: measures raw queue throughput.
-class Ticker final : public sim::Process {
- public:
-  void fire(sim::Kernel& kernel, std::uint32_t tag) override {
-    kernel.schedule_in(1_ps, self, tag);
-  }
-  sim::NodeId self = sim::invalid_node;
-};
-
-void BM_KernelEventThroughput(benchmark::State& state) {
-  sim::Kernel kernel;
-  kernel.reserve_events(static_cast<std::size_t>(state.range(0)));
-  std::vector<std::unique_ptr<Ticker>> tickers;
-  for (int i = 0; i < state.range(0); ++i) {
-    tickers.push_back(std::make_unique<Ticker>());
-    tickers.back()->self = kernel.add_process(tickers.back().get());
-    kernel.schedule_in(1_ps, tickers.back()->self, 0);
-  }
+/// Events per second of a ring built by Oscillator::build and run in 1 us
+/// slices of simulated time.
+void run_ring(benchmark::State& state, core::Oscillator& osc) {
+  std::uint64_t events = 0;
   for (auto _ : state) {
-    kernel.run_events(10000);
+    const std::uint64_t before = osc.events_fired();
+    osc.run_for(Time::from_us(1.0));
+    events += osc.events_fired() - before;
   }
-  state.SetItemsProcessed(state.iterations() * 10000);
+  state.SetItemsProcessed(static_cast<std::int64_t>(events));
 }
-BENCHMARK(BM_KernelEventThroughput)->Arg(1)->Arg(16)->Arg(256);
 
-/// The same workload with metrics collection live: the delta vs
-/// BM_KernelEventThroughput is the whole price of the counters on the
-/// hottest path. The kernel counts schedules and fires itself and publishes
-/// once per run_events call (here one per 10000 events), so the two should
-/// match within noise.
-void BM_KernelEventThroughputMetrics(benchmark::State& state) {
-  sim::metrics::set_enabled(true);
-  sim::Kernel kernel;
-  kernel.reserve_events(static_cast<std::size_t>(state.range(0)));
-  std::vector<std::unique_ptr<Ticker>> tickers;
-  for (int i = 0; i < state.range(0); ++i) {
-    tickers.push_back(std::make_unique<Ticker>());
-    tickers.back()->self = kernel.add_process(tickers.back().get());
-    kernel.schedule_in(1_ps, tickers.back()->self, 0);
-  }
-  for (auto _ : state) {
-    kernel.run_events(10000);
-  }
-  state.SetItemsProcessed(state.iterations() * 10000);
-  sim::metrics::set_enabled(false);
-  sim::metrics::reset();
+core::RingSpec ring_spec(core::RingKind kind, std::int64_t stages) {
+  const auto n = static_cast<std::size_t>(stages);
+  return kind == core::RingKind::iro ? core::RingSpec::iro(n)
+                                     : core::RingSpec::str(n);
 }
-BENCHMARK(BM_KernelEventThroughputMetrics)->Arg(1)->Arg(16)->Arg(256);
 
-/// The same workload with telemetry histograms live: the delta vs
-/// BM_KernelEventThroughput prices the distribution layer on the hottest
-/// path (per event: a log-linear bucket_index plus two relaxed fetch_adds
-/// for the gap histogram, and the same again per push for queue depth).
-/// With collection off the probes cost a single predicted-not-taken branch;
-/// BM_ParallelSweep guards that case.
-void BM_KernelEventThroughputTelemetry(benchmark::State& state) {
-  sim::telemetry::set_enabled(true);
-  sim::Kernel kernel;
-  kernel.reserve_events(static_cast<std::size_t>(state.range(0)));
-  std::vector<std::unique_ptr<Ticker>> tickers;
-  for (int i = 0; i < state.range(0); ++i) {
-    tickers.push_back(std::make_unique<Ticker>());
-    tickers.back()->self = kernel.add_process(tickers.back().get());
-    kernel.schedule_in(1_ps, tickers.back()->self, 0);
-  }
-  for (auto _ : state) {
-    kernel.run_events(10000);
-  }
-  state.SetItemsProcessed(state.iterations() * 10000);
-  sim::telemetry::set_enabled(false);
-  sim::telemetry::reset();
+/// A ring at the fixed nominal operating point (no Supply).
+void ring_simulation(benchmark::State& state, core::RingKind kind) {
+  core::Oscillator osc = core::Oscillator::build(
+      ring_spec(kind, state.range(0)), core::cyclone_iii(), {});
+  run_ring(state, osc);
 }
-BENCHMARK(BM_KernelEventThroughputTelemetry)->Arg(1)->Arg(16)->Arg(256);
+
+/// A ring built through a nominal Supply, as core::RingBitSource builds the
+/// rings of the entropy_map and attack_resilience cells: the campaign's
+/// path.
+void ring_simulation_supply(benchmark::State& state, core::RingKind kind) {
+  fpga::Supply supply(1.2);
+  core::BuildOptions options;
+  options.supply = &supply;
+  core::Oscillator osc = core::Oscillator::build(
+      ring_spec(kind, state.range(0)), core::cyclone_iii(), options);
+  run_ring(state, osc);
+}
 
 void BM_CharlieFireTime(benchmark::State& state) {
   const ring::CharlieModel model(
@@ -111,36 +74,52 @@ void BM_CharlieFireTime(benchmark::State& state) {
 BENCHMARK(BM_CharlieFireTime);
 
 void BM_IroSimulation(benchmark::State& state) {
-  const auto& cal = core::cyclone_iii();
-  core::Oscillator osc = core::Oscillator::build(
-      core::RingSpec::iro(static_cast<std::size_t>(state.range(0))), cal, {});
-  std::uint64_t events = 0;
-  for (auto _ : state) {
-    const std::uint64_t before = osc.kernel().events_fired();
-    osc.run_for(Time::from_us(1.0));
-    events += osc.kernel().events_fired() - before;
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(events));
+  ring_simulation(state, core::RingKind::iro);
 }
 BENCHMARK(BM_IroSimulation)->Arg(5)->Arg(80);
 
 void BM_StrSimulation(benchmark::State& state) {
-  const auto& cal = core::cyclone_iii();
-  core::Oscillator osc = core::Oscillator::build(
-      core::RingSpec::str(static_cast<std::size_t>(state.range(0))), cal, {});
-  std::uint64_t events = 0;
-  for (auto _ : state) {
-    const std::uint64_t before = osc.kernel().events_fired();
-    osc.run_for(Time::from_us(1.0));
-    events += osc.kernel().events_fired() - before;
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(events));
+  ring_simulation(state, core::RingKind::str);
 }
 BENCHMARK(BM_StrSimulation)->Arg(8)->Arg(96);
 
+void BM_IroSimulationSupply(benchmark::State& state) {
+  ring_simulation_supply(state, core::RingKind::iro);
+}
+BENCHMARK(BM_IroSimulationSupply)->Arg(5);
+
+void BM_StrSimulationSupply(benchmark::State& state) {
+  ring_simulation_supply(state, core::RingKind::str);
+}
+BENCHMARK(BM_StrSimulationSupply)->Arg(5);
+
+/// BM_IroSimulation/5 with metrics collection live: the ring counts in
+/// plain members and publishes once per run call, so the delta against
+/// BM_IroSimulation/5 is the whole price of the counters on the hottest
+/// path and should sit within noise.
+void BM_IroSimulationMetrics(benchmark::State& state) {
+  sim::metrics::set_enabled(true);
+  ring_simulation(state, core::RingKind::iro);
+  sim::metrics::set_enabled(false);
+  sim::metrics::reset();
+}
+BENCHMARK(BM_IroSimulationMetrics)->Arg(5);
+
+/// BM_IroSimulation/5 with telemetry histograms live: the delta prices the
+/// distribution layer per event (a log-linear bucket_index plus relaxed
+/// adds for the event-gap and queue-depth histograms). With collection off
+/// each probe is one predicted-not-taken branch.
+void BM_IroSimulationTelemetry(benchmark::State& state) {
+  sim::telemetry::set_enabled(true);
+  ring_simulation(state, core::RingKind::iro);
+  sim::telemetry::set_enabled(false);
+  sim::telemetry::reset();
+}
+BENCHMARK(BM_IroSimulationTelemetry)->Arg(5);
+
 /// Raw queue throughput: a self-similar hold-model workload (each pop pushes
 /// one event a random delay ahead) at a steady population — the classic
-/// priority-queue benchmark — on FlatHeap4, the kernel's pending-event set.
+/// priority-queue benchmark — on FlatHeap4, the STR's pending-event set.
 /// Arg: population.
 void BM_EventQueueHoldModel(benchmark::State& state) {
   sim::FlatHeap4 queue;
@@ -148,13 +127,13 @@ void BM_EventQueueHoldModel(benchmark::State& state) {
   std::uint64_t seq = 0;
   for (int i = 0; i < state.range(0); ++i) {
     queue.push({Time::from_fs(static_cast<std::int64_t>(rng.below(100000))),
-                seq++, 0, 0});
+                seq++, 0});
   }
   for (auto _ : state) {
     const auto event = queue.pop_min();
     queue.push({event.at + Time::from_fs(
                                static_cast<std::int64_t>(1 + rng.below(200000))),
-                seq++, 0, 0});
+                seq++, 0});
     benchmark::DoNotOptimize(queue.size());
   }
   state.SetItemsProcessed(state.iterations());

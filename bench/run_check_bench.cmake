@@ -20,7 +20,7 @@ endforeach()
 execute_process(
   COMMAND ${PERF_KERNEL}
     --benchmark_min_time=0.05
-    "--benchmark_filter=BM_Kernel|BM_Charlie|BM_IroSimulation|BM_StrSimulation|BM_EventQueue|BM_GaussianNoise|BM_Entropy90B|BM_Service"
+    "--benchmark_filter=BM_Charlie|BM_IroSimulation|BM_StrSimulation|BM_EventQueue|BM_GaussianNoise|BM_Entropy90B|BM_Service"
     --benchmark_format=json
     "--benchmark_out=${REPORT}"
   RESULT_VARIABLE perf_rc)

@@ -3,7 +3,7 @@
 // Analog jitter in the reproduced paper is on the order of 2 ps per LUT, so a
 // femtosecond grid keeps quantization three orders of magnitude below the
 // smallest physical quantity of interest while int64 still covers ±106 days
-// of simulated time. All delays and timestamps inside the event kernel use
+// of simulated time. All delays and timestamps inside the ring event loops use
 // Time; statistics convert to double picoseconds at the analysis boundary.
 #pragma once
 

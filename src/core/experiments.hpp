@@ -1,7 +1,7 @@
 // Experiment drivers: one function per paper experiment.
 //
-// Each driver builds oscillators through the public factory, runs them on the
-// event kernel, measures through the instrument models, and returns a plain
+// Each driver builds oscillators through the public factory, runs their
+// event loops, measures through the instrument models, and returns a plain
 // result struct. The bench binaries (bench/) only format these results into
 // the paper's tables and figures; the test suite asserts their shapes.
 //

@@ -58,10 +58,6 @@ Oscillator Oscillator::build(const RingSpec& spec,
   spec.validate();
   Oscillator osc;
   osc.spec_ = spec;
-  osc.kernel_ = std::make_unique<sim::Kernel>();
-  // Steady state keeps at most ~1 pending event per stage (each stage has
-  // one firing in flight; tokens never exceed the stage count).
-  osc.kernel_->reserve_events(spec.stages + 8);
 
   const double sigma_g_ps =
       options.sigma_g_ps < 0.0 ? calibration.sigma_g_ps : options.sigma_g_ps;
@@ -93,8 +89,7 @@ Oscillator Oscillator::build(const RingSpec& spec,
       config.supply = options.supply;
       config.laws = &calibration.laws;
     }
-    osc.iro_ =
-        std::make_unique<ring::Iro>(*osc.kernel_, config, std::move(noise));
+    osc.iro_ = std::make_unique<ring::Iro>(config, std::move(noise));
     osc.nominal_period_ = osc.iro_->nominal_period();
   } else {
     ring::StrConfig config;
@@ -118,8 +113,7 @@ Oscillator Oscillator::build(const RingSpec& spec,
     }
     ring::RingState initial = ring::make_initial_state(
         spec.stages, spec.effective_tokens(), spec.placement);
-    osc.str_ = std::make_unique<ring::Str>(*osc.kernel_, config,
-                                           std::move(initial),
+    osc.str_ = std::make_unique<ring::Str>(config, initial,
                                            std::move(noise));
     osc.nominal_period_ = osc.str_->nominal_period();
   }
@@ -154,7 +148,21 @@ Oscillator Oscillator::build(const RingSpec& spec,
   return osc;
 }
 
-void Oscillator::advance_to(Time t) { kernel_->run_until(t); }
+void Oscillator::advance_to(Time t) {
+  if (iro_ != nullptr) {
+    iro_->run_until(t);
+  } else {
+    str_->run_until(t);
+  }
+}
+
+Time Oscillator::now() const {
+  return iro_ != nullptr ? iro_->now() : str_->now();
+}
+
+std::uint64_t Oscillator::events_fired() const {
+  return iro_ != nullptr ? iro_->events_fired() : str_->events_fired();
+}
 
 void Oscillator::run_periods(std::size_t n) {
   const sim::metrics::ScopedPhase phase("run");
@@ -167,11 +175,13 @@ void Oscillator::run_periods(std::size_t n) {
   };
   const Time target =
       warmup_time_ + estimated_period_.scaled(static_cast<double>(n + 8));
-  if (kernel_->now() < target) advance_to(target);
+  if (now() < target) advance_to(target);
   double topup = 64.0;
   while (!enough()) {
-    RINGENT_REQUIRE(!kernel_->idle(), "ring deadlocked (no pending events)");
-    advance_to(kernel_->now() + estimated_period_.scaled(topup));
+    // An IRO always has its one event in flight; an STR can run dry.
+    RINGENT_REQUIRE(iro_ != nullptr || !str_->idle(),
+                    "ring deadlocked (no pending events)");
+    advance_to(now() + estimated_period_.scaled(topup));
     topup *= 2.0;
   }
 }
@@ -179,7 +189,7 @@ void Oscillator::run_periods(std::size_t n) {
 void Oscillator::run_for(Time span) {
   const sim::metrics::ScopedPhase phase("run");
   RINGENT_REQUIRE(started_, "oscillator not started");
-  advance_to(kernel_->now() + span);
+  advance_to(now() + span);
 }
 
 sim::SignalTrace& Oscillator::output() {

@@ -5,9 +5,9 @@
 //   osc.run_periods(10000);
 //   auto periods = analysis::periods_ps(osc.output());
 //
-// Oscillator owns the simulation kernel, the ring model and the per-stage
-// noise sources; the optional Board and Supply are borrowed (an experiment
-// typically shares one Supply across rings and sweeps its level).
+// Oscillator owns the ring model, which runs its own event loop, and the
+// per-stage noise sources; the optional Board and Supply are borrowed (an
+// experiment typically shares one Supply across rings and sweeps its level).
 #pragma once
 
 #include <memory>
@@ -20,7 +20,6 @@
 #include "noise/modulation.hpp"
 #include "ring/iro.hpp"
 #include "ring/str.hpp"
-#include "sim/kernel.hpp"
 
 namespace ringent::core {
 
@@ -102,7 +101,9 @@ class Oscillator {
   /// Noise-free period at the nominal operating point.
   Time nominal_period() const { return nominal_period_; }
 
-  sim::Kernel& kernel() { return *kernel_; }
+  /// Current simulation time and events fired since the build.
+  Time now() const;
+  std::uint64_t events_fired() const;
 
   /// STR only; null for IROs.
   ring::Str* str() { return str_.get(); }
@@ -117,7 +118,6 @@ class Oscillator {
   Time nominal_period_;
   Time estimated_period_;  ///< nominal period scaled to the operating point
   Time warmup_time_;
-  std::unique_ptr<sim::Kernel> kernel_;
   std::unique_ptr<ring::Iro> iro_;
   std::unique_ptr<ring::Str> str_;
   bool started_ = false;

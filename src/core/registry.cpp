@@ -9,7 +9,7 @@ namespace ringent::core {
 
 namespace {
 
-/// Run `fn` with kernel metrics forced on (so the driver's DriverScope
+/// Run `fn` with simulation metrics forced on (so the driver's DriverScope
 /// emits a run manifest), capture that manifest, and restore the previous
 /// metrics state — including on the exception path, so a registry probe
 /// never leaves global metrics flipped on behind the caller's back.

@@ -3,7 +3,7 @@
 // anchor it reproduces, and a type-erased JSON-spec surface: a committed
 // small default spec, a canonicalizer (parse + validate + re-emit — the
 // campaign layer's cache-key normalizer), and `run_spec`, which executes
-// the driver on a serialized spec with kernel metrics forced on and
+// the driver on a serialized spec with simulation metrics forced on and
 // returns the RunManifest it emitted. `run_small` is a thin forwarder of
 // `run_spec` over `default_spec()` — the uniform "smoke-run any experiment
 // and get its provenance record" entry point the CLI front ends dispatch
@@ -60,7 +60,7 @@ struct ExperimentDescriptor {
   /// campaign layer hashes for content addressing.
   std::function<Json(const Json&)> canonicalize;
 
-  /// Run the driver on a serialized spec with kernel metrics forced on for
+  /// Run the driver on a serialized spec with simulation metrics forced on for
   /// the duration, and return the run manifest it emitted. Honors
   /// `options.seed` / `options.jobs`; restores the previous metrics state
   /// (enabled or not) before returning. Throws like `canonicalize` on a bad

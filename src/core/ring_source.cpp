@@ -32,7 +32,7 @@ RingBitSource::RingBitSource(const RingSourceConfig& config,
   sample_next_abs_ = config_.sampling_period * ticks;
 }
 
-Time RingBitSource::now() { return epoch_ + osc_->kernel().now(); }
+Time RingBitSource::now() { return epoch_ + osc_->now(); }
 
 void RingBitSource::rebuild(std::uint64_t attempt) {
   // Apply the supply state the scenario prescribes at the rebuild instant
@@ -42,7 +42,11 @@ void RingBitSource::rebuild(std::uint64_t attempt) {
 
   BuildOptions options;
   options.supply = &supply_;
-  options.modulation = injector_.get();
+  // Only delay faults act through the modulation hook; without them the
+  // injector's offset is exactly 0.0 on every event, so leave it out.
+  if (injector_->scenario().has_delay_faults()) {
+    options.modulation = injector_.get();
+  }
   options.noise_seed = attempt == 0
                            ? config_.seed
                            : derive_seed(config_.seed, "relock", attempt);
@@ -58,7 +62,7 @@ std::uint8_t RingBitSource::next_bit() {
 }
 
 void RingBitSource::restart(std::uint64_t attempt) {
-  // Power-cycle: local kernel time restarts at zero but the fault schedule
+  // Power-cycle: local ring time restarts at zero but the fault schedule
   // keeps running, so the new ring's epoch is wherever the old one stopped.
   epoch_ = now();
   buffer_.clear();

@@ -63,15 +63,18 @@ std::string RingSpec::name() const {
 }
 
 void RingSpec::validate() const {
+  // The message alone: spec parsers wrap it with the schema and key.
+  const auto require = [](bool ok, const char* message) {
+    if (!ok) throw PreconditionError(message);
+  };
   if (kind == RingKind::iro) {
-    RINGENT_REQUIRE(stages >= 3, "IRO needs at least 3 stages");
-    RINGENT_REQUIRE(tokens == 0, "tokens only apply to STRs");
+    require(stages >= 3, "IRO needs at least 3 stages");
+    require(tokens == 0, "tokens only apply to STRs");
   } else {
-    RINGENT_REQUIRE(stages >= 3, "STR needs at least 3 stages");
-    const std::size_t nt = effective_tokens();
-    RINGENT_REQUIRE(ring::can_oscillate(stages, nt),
-                    "STR token count cannot oscillate (need positive even NT "
-                    "and at least one bubble)");
+    require(stages >= 3, "STR needs at least 3 stages");
+    require(ring::can_oscillate(stages, effective_tokens()),
+            "STR token count cannot oscillate (need positive even NT and at "
+            "least one bubble)");
   }
 }
 

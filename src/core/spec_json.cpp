@@ -166,8 +166,32 @@ constexpr auto kEntropyMap = fields::spec<EntropyMapSpec>(
     optional("restart_cols", &EntropyMapSpec::restart_cols, Integer{}),
     optional("battery", &EntropyMapSpec::battery, Nested{}));
 
+/// Reject a stage-local fault that does nothing on some ring under attack:
+/// a stuck stage past the ring's last stage, or a mode kick covering every
+/// stage (a uniform delay step, not a kick).
+void check_attack_resilience(const AttackResilienceSpec& spec) {
+  for (const noise::FaultScenario& scenario : spec.scenarios) {
+    for (const noise::FaultEvent& event : scenario.events) {
+      const bool stuck = event.kind == noise::FaultKind::stuck_stage;
+      if (!stuck && event.kind != noise::FaultKind::mode_kick) continue;
+      for (const RingSpec& ring : spec.rings) {
+        if (event.stage < ring.stages) continue;
+        const std::string where = "\"scenarios\": \"" + scenario.name +
+                                  "\": " + noise::to_string(event.kind) +
+                                  " \"stage\" " +
+                                  std::to_string(event.stage) + " on " +
+                                  ring.name() + ": ";
+        throw Error(where + (stuck ? "past the ring's last stage, so no "
+                                     "stage is frozen"
+                                   : "kicks every stage, a uniform delay "
+                                     "step rather than a kick"));
+      }
+    }
+  }
+}
+
 constexpr auto kAttackResilience = fields::spec<AttackResilienceSpec>(
-    AttackResilienceSpec::spec_schema, nullptr,
+    AttackResilienceSpec::spec_schema, check_attack_resilience,
     required("rings", &AttackResilienceSpec::rings, ArrayOf<Nested>{}),
     required("scenarios", &AttackResilienceSpec::scenarios, ArrayOf<Nested>{}),
     required("sampling_period_fs", &AttackResilienceSpec::sampling_period,

@@ -115,16 +115,19 @@ FaultEvent FaultEvent::kick(Time start, Time stop, double offset_ps,
 }
 
 void FaultScenario::validate() const {
+  // The message alone: spec parsers wrap it with the schema and key.
+  const auto require = [](bool ok, const char* message) {
+    if (!ok) throw PreconditionError(message);
+  };
   for (const FaultEvent& e : events) {
-    RINGENT_REQUIRE(!e.start.is_negative(), "fault window starts before t=0");
-    RINGENT_REQUIRE(e.stop > e.start, "fault window must have stop > start");
-    RINGENT_REQUIRE(std::isfinite(e.magnitude), "fault magnitude not finite");
+    require(!e.start.is_negative(), "fault window starts before t=0");
+    require(e.stop > e.start, "fault window must have stop > start");
+    require(std::isfinite(e.magnitude), "fault magnitude not finite");
     if (e.kind == FaultKind::supply_tone) {
-      RINGENT_REQUIRE(e.frequency_hz > 0.0,
-                      "supply tone needs a positive frequency");
+      require(e.frequency_hz > 0.0, "supply tone needs a positive frequency");
     }
     if (e.kind == FaultKind::mode_kick) {
-      RINGENT_REQUIRE(e.stage > 0, "mode kick needs at least one stage");
+      require(e.stage > 0, "mode kick needs at least one stage");
     }
   }
 }
@@ -193,7 +196,7 @@ void FaultInjector::advance_to(Time t) {
     if (e.kind == FaultKind::supply_tone && e.active_at(t)) tone = &e;
   }
   if (tone != nullptr) {
-    // The supply evaluates its modulation in the ring's *local* kernel time;
+    // The supply evaluates its modulation in the ring's *local* time;
     // the attacker's tone is continuous in absolute time. Rebase the phase
     // with the current epoch so an oscillator restart does not silently
     // restart the attack waveform too.

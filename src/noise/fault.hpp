@@ -10,7 +10,7 @@
 // existing physical hooks:
 //
 //   * supply faults (tone / step / ramp) drive fpga::Supply::Modulation and
-//     Supply::set_level between kernel steps;
+//     Supply::set_level between ring runs;
 //   * delay faults (drift / step / stuck stage / mode-collapse kick) are a
 //     stage-aware noise::DelayModulation the rings consult on every firing.
 //
@@ -111,10 +111,10 @@ struct FaultScenario {
   static FaultScenario from_json(const Json& json);
 };
 
-/// Realizes a FaultScenario against a Supply (between kernel steps) and as a
-/// stage-aware DelayModulation (inside kernel steps).
+/// Realizes a FaultScenario against a Supply (between ring runs) and as a
+/// stage-aware DelayModulation (inside ring runs).
 ///
-// Usage contract: the driver steps the kernel no further than
+// Usage contract: the driver runs the ring no further than
 // next_boundary(now) before calling advance_to() again, so piecewise-constant
 // supply state (step/ramp levels, tone windows) is applied on exact schedule
 // boundaries and ramps are sub-sampled deterministically.
@@ -127,13 +127,13 @@ class FaultInjector final : public DelayModulation {
 
   const FaultScenario& scenario() const { return scenario_; }
 
-  /// Oscillator restarts reset kernel time to zero; the epoch maps local
-  /// kernel time back onto absolute scenario time (absolute = epoch + local).
+  /// Oscillator restarts reset ring time to zero; the epoch maps local
+  /// ring time back onto absolute scenario time (absolute = epoch + local).
   void set_epoch(Time epoch) { epoch_ = epoch; }
   Time epoch() const { return epoch_; }
 
   /// Apply the supply-side state for absolute scenario time `t`. Call
-  /// between kernel steps (never mid-step).
+  /// between ring runs (never mid-run).
   void advance_to(Time t);
 
   /// Next supply-state change strictly after absolute time `t`
@@ -145,7 +145,7 @@ class FaultInjector final : public DelayModulation {
   /// far (for metrics and reports).
   std::uint64_t activations() const { return activations_; }
 
-  // DelayModulation: deterministic per-stage offsets in *local* kernel time.
+  // DelayModulation: deterministic per-stage offsets in *local* ring time.
   double offset_ps(Time local) const override;
   double offset_ps(Time local, std::size_t stage) const override;
 

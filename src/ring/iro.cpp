@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <utility>
 
 #include "common/require.hpp"
@@ -12,10 +13,9 @@ namespace {
 constexpr double min_hop_ps = 1.0;  // causality floor under negative noise
 }
 
-Iro::Iro(sim::Kernel& kernel, const IroConfig& config,
+Iro::Iro(const IroConfig& config,
          std::vector<std::unique_ptr<noise::NoiseSource>> stage_noise)
-    : kernel_(kernel),
-      config_(config),
+    : config_(config),
       stage_noise_(std::move(stage_noise)),
       scale_cache_(config.supply, config.laws),
       output_("iro_out") {
@@ -40,96 +40,119 @@ Iro::Iro(sim::Kernel& kernel, const IroConfig& config,
     RINGENT_REQUIRE(f > 0.0, "stage factors must be positive");
   }
 
-  // Per-stage precompute. The original per-event expression was
-  //   lut_delay.ps() * factor * lut_scale + routing_ps * factor * routing_scale
-  // which associates as ((lut*factor)*lut_scale) + ((routing*factor)*scale),
-  // so folding (lut*factor) and (routing*factor) ahead of time — and, at
-  // unit scales, the whole sum — reproduces the exact same rounding.
-  lut_part_.reserve(config_.stages);
-  routing_part_.reserve(config_.stages);
-  static_ps_.reserve(config_.stages);
+  table_.resize(config_.stages);
   for (std::size_t i = 0; i < config_.stages; ++i) {
     const double factor =
         config_.stage_factors.empty() ? 1.0 : config_.stage_factors[i];
     const double routing_ps = config_.routing_per_stage.empty()
                                   ? config_.routing_per_hop.ps()
                                   : config_.routing_per_stage[i].ps();
-    lut_part_.push_back(config_.lut_delay.ps() * factor);
-    routing_part_.push_back(routing_ps * factor);
-    static_ps_.push_back(lut_part_[i] + routing_part_[i]);
+    table_[i].lut_ps = config_.lut_delay.ps() * factor;
+    table_[i].routing_ps = routing_ps * factor;
   }
+  // Without a supply the scales are 1.0 for good; multiplying by 1.0 is
+  // exact, so the unit-scale table is the static delay itself.
+  rebuild_table(fpga::SupplyScaleCache::Scales{});
   if (!stage_noise_.empty()) {
     noise_.reserve(config_.stages);
     for (auto& source : stage_noise_) noise_.emplace_back(source.get());
   }
-  fully_static_ = config_.supply == nullptr && stage_noise_.empty() &&
-                  config_.modulation == nullptr;
-  if (fully_static_) {
-    const_hop_.reserve(config_.stages);
-    for (std::size_t i = 0; i < config_.stages; ++i) {
-      const_hop_.push_back(Time::from_ps(std::max(static_ps_[i], min_hop_ps)));
-    }
-  }
+  fixed_hops_ = noise_.empty() && config_.modulation == nullptr;
+}
 
-  node_ = kernel_.add_process(this);
+void Iro::rebuild_table(const fpga::SupplyScaleCache::Scales& scales) {
+  for (StageDelay& d : table_) {
+    d.hop_ps = d.lut_ps * scales.lut + d.routing_ps * scales.routing;
+    d.fixed_hop = Time::from_ps(std::max(d.hop_ps, min_hop_ps));
+  }
+  if (config_.jitter_delay_exponent != 0.0) {
+    noise_scale_key_ = scales.lut;
+    noise_scale_ = std::pow(scales.lut, config_.jitter_delay_exponent);
+  }
+}
+
+void Iro::sync_supply() {
+  if (config_.supply == nullptr) return;
+  const std::uint64_t generation = config_.supply->generation();
+  if (generation == table_generation_) return;
+  table_generation_ = generation;
+  per_event_scales_ = !config_.supply->time_invariant();
+  if (!per_event_scales_) rebuild_table(scale_cache_.at(clock_.now()));
 }
 
 Time Iro::hop_delay(std::size_t stage, Time now) {
-  if (config_.supply == nullptr) {
-    // Unit voltage scales: multiplying by 1.0 is exact, so the scale factors
-    // vanish into the precomputed static delay. With gamma != 0 the noise
-    // scale pow(1.0, gamma) == 1.0 exactly as well.
-    if (fully_static_) return const_hop_[stage];
-    double delay_ps = static_ps_[stage];
-    if (!noise_.empty()) delay_ps += noise_[stage].next();
-    if (config_.modulation != nullptr) {
-      delay_ps += config_.modulation->offset_ps(now, stage);
+  const StageDelay& d = table_[stage];
+  double delay_ps = d.hop_ps;
+  if (per_event_scales_) {
+    const fpga::SupplyScaleCache::Scales& scales = scale_cache_.at(now);
+    delay_ps = d.lut_ps * scales.lut + d.routing_ps * scales.routing;
+    // Memoized on the lut scale: pow of an identical input is identical.
+    if (config_.jitter_delay_exponent != 0.0 &&
+        scales.lut != noise_scale_key_) {
+      noise_scale_key_ = scales.lut;
+      noise_scale_ = std::pow(noise_scale_key_, config_.jitter_delay_exponent);
     }
-    return Time::from_ps(std::max(delay_ps, min_hop_ps));
+  } else if (fixed_hops_) {
+    return d.fixed_hop;
   }
-
-  const fpga::SupplyScaleCache::Scales& scales = scale_cache_.at(now);
-  double delay_ps = lut_part_[stage] * scales.lut +
-                    routing_part_[stage] * scales.routing;
-  if (!noise_.empty()) {
-    double noise_scale = 1.0;
-    if (config_.jitter_delay_exponent != 0.0) {
-      // Memoized on the lut scale: pow of an identical input is identical.
-      if (scales.lut != noise_scale_key_) {
-        noise_scale_key_ = scales.lut;
-        noise_scale_ =
-            std::pow(noise_scale_key_, config_.jitter_delay_exponent);
-      }
-      noise_scale = noise_scale_;
-    }
-    delay_ps += noise_[stage].next() * noise_scale;
-  }
+  // noise_scale_ is exactly 1.0 unless gamma != 0 meets a non-unit scale.
+  if (!noise_.empty()) delay_ps += noise_[stage].next() * noise_scale_;
   if (config_.modulation != nullptr) {
     delay_ps += config_.modulation->offset_ps(now, stage);
   }
   return Time::from_ps(std::max(delay_ps, min_hop_ps));
 }
 
-void Iro::start() {
-  RINGENT_REQUIRE(!started_, "IRO already started");
-  started_ = true;
-  // The circulating event enters stage 0 at t = 0.
-  kernel_.schedule_in(hop_delay(0, kernel_.now()), node_, 0);
+void Iro::schedule(std::size_t stage, Time now) {
+  const Time delay = hop_delay(stage, now);
+  RINGENT_REQUIRE(delay <= Time::max() - now,
+                  "delay overflows the simulation clock");
+  pending_at_ = now + delay;
+  pending_stage_ = stage;
+  clock_.scheduled(1);
 }
 
-void Iro::fire(sim::Kernel& kernel, std::uint32_t tag) {
-  const std::size_t stage = tag;
-  const Time now = kernel.now();
-  if (stage + 1 == config_.stages) {
-    // The event completed a lap: the ring output (the inverter's input edge
-    // arriving back) toggles once per lap.
-    output_value_ = !output_value_;
-    output_.record(now, output_value_);
-    kernel.schedule_in(hop_delay(0, now), node_, 0);
-  } else {
-    const std::uint32_t next = tag + 1;
-    kernel.schedule_in(hop_delay(next, now), node_, next);
+void Iro::start() {
+  RINGENT_REQUIRE(!started_, "IRO already started");
+  const sim::EventClock::Publish publish(clock_);
+  sync_supply();
+  started_ = true;
+  // The circulating event enters stage 0 at the current time.
+  schedule(0, clock_.now());
+}
+
+std::uint64_t Iro::run_until(Time t_end) {
+  RINGENT_REQUIRE(t_end >= clock_.now(), "horizon in the past");
+  const std::uint64_t fired =
+      drain(t_end, std::numeric_limits<std::uint64_t>::max());
+  clock_.park(t_end);
+  return fired;
+}
+
+std::uint64_t Iro::run_events(std::uint64_t max_events) {
+  return drain(Time::max(), max_events);
+}
+
+std::uint64_t Iro::drain(Time t_end, std::uint64_t max_events) {
+  const sim::EventClock::Publish publish(clock_);
+  if (!started_) return 0;
+  sync_supply();
+  std::uint64_t fired = 0;
+  while (fired < max_events && pending_at_ <= t_end) {
+    const Time now = pending_at_;
+    clock_.fire(now);
+    std::size_t next = pending_stage_ + 1;
+    if (next == config_.stages) {
+      // The event completed a lap: the ring output (the inverter's input
+      // edge arriving back) toggles once per lap.
+      output_value_ = !output_value_;
+      output_.record(now, output_value_);
+      next = 0;
+    }
+    schedule(next, now);
+    ++fired;
   }
+  return fired;
 }
 
 Time Iro::nominal_period() const {

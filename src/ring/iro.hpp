@@ -9,6 +9,13 @@
 // sigma_period = sqrt(2L) * sigma_g (paper Eq. 4). That law is NOT encoded
 // here — it must emerge from the event simulation and is asserted by tests
 // and regenerated by bench/fig11_iro_jitter_vs_stages.
+//
+// The ring is its own scheduler. Exactly one event is ever in flight, so
+// the model keeps it as a plain (time, stage) pair and run_until() advances
+// it in a direct loop: no queue, no sequence number, no virtual dispatch.
+// The per-stage delay parameters at the current operating point sit in one
+// table, rebuilt when the Supply's generation changes; only a time-varying
+// rail (a tone, regulator ripple) evaluates the voltage laws per hop.
 #pragma once
 
 #include <memory>
@@ -20,7 +27,7 @@
 #include "fpga/supply.hpp"
 #include "noise/jitter.hpp"
 #include "noise/modulation.hpp"
-#include "sim/kernel.hpp"
+#include "sim/event_clock.hpp"
 #include "sim/probe.hpp"
 
 namespace ringent::ring {
@@ -57,16 +64,28 @@ struct IroConfig {
   const noise::DelayModulation* modulation = nullptr;
 };
 
-class Iro final : public sim::Process {
+class Iro final {
  public:
-  /// Registers the ring with `kernel`. `stage_noise` supplies the dynamic
-  /// noise stream for each stage; pass exactly `config.stages` sources or an
-  /// empty vector for a noise-free ring. The ring must outlive the kernel run.
-  Iro(sim::Kernel& kernel, const IroConfig& config,
+  /// `stage_noise` supplies the dynamic noise stream for each stage; pass
+  /// exactly `config.stages` sources or an empty vector for a noise-free
+  /// ring.
+  Iro(const IroConfig& config,
       std::vector<std::unique_ptr<noise::NoiseSource>> stage_noise);
 
-  /// Inject the circulating event; call once before running the kernel.
+  /// Inject the circulating event at the current time; call once before
+  /// running.
   void start();
+
+  /// Fire every event due at or before `t_end` (>= now()), then park the
+  /// clock on `t_end`. Returns the events fired by this call.
+  std::uint64_t run_until(Time t_end);
+
+  /// Fire at most `max_events` events. Returns the events fired.
+  std::uint64_t run_events(std::uint64_t max_events);
+
+  /// Current simulation time and events fired since construction.
+  Time now() const { return clock_.now(); }
+  std::uint64_t events_fired() const { return clock_.events_fired(); }
 
   /// Trace of the last stage's output (the ring's observed signal).
   sim::SignalTrace& output() { return output_; }
@@ -77,30 +96,43 @@ class Iro final : public sim::Process {
   /// Nominal noise-free period at the nominal operating point: 2 laps.
   Time nominal_period() const;
 
-  void fire(sim::Kernel& kernel, std::uint32_t tag) override;
-
  private:
-  Time hop_delay(std::size_t stage, Time now);
+  /// Effective delay of one stage at one operating point. The products are
+  /// formed in the association order of the per-hop expression
+  ///   lut_delay * factor * lut_scale + routing * factor * routing_scale
+  /// so a table entry is bit-identical to evaluating it per hop
+  /// (tests/test_hot_path.cpp, tests/test_ring_oracle.cpp).
+  struct StageDelay {
+    double lut_ps = 0.0;      ///< lut_delay.ps() * factor
+    double routing_ps = 0.0;  ///< routing_ps * factor
+    double hop_ps = 0.0;      ///< lut_ps * lut_scale + routing_ps * routing_scale
+    Time fixed_hop;           ///< whole hop when nothing varies per event
+  };
 
-  sim::Kernel& kernel_;
+  std::uint64_t drain(Time t_end, std::uint64_t max_events);
+  /// Revalidate the table against the Supply's generation (between runs:
+  /// the rail only changes between ring calls).
+  void sync_supply();
+  void rebuild_table(const fpga::SupplyScaleCache::Scales& scales);
+  Time hop_delay(std::size_t stage, Time now);
+  /// Draw the hop through `stage` and make it the pending event.
+  void schedule(std::size_t stage, Time now);
+
   IroConfig config_;
   std::vector<std::unique_ptr<noise::NoiseSource>> stage_noise_;
-
-  // Hot-path precompute (see hop_delay): the per-stage products that do not
-  // depend on the event are folded once at construction, in the exact
-  // association order of the original per-event expression, so the hoisted
-  // arithmetic is bit-identical (tests/test_hot_path.cpp pins this).
-  std::vector<double> lut_part_;      ///< lut_delay.ps() * factor_i
-  std::vector<double> routing_part_;  ///< routing_ps_i * factor_i
-  std::vector<double> static_ps_;     ///< hop delay at unit scales (ps)
-  std::vector<Time> const_hop_;       ///< whole hop, fully-static rings only
+  std::vector<StageDelay> table_;
   std::vector<noise::BlockSampler> noise_;  ///< block-buffered stage noise
-  fpga::SupplyScaleCache scale_cache_;
-  double noise_scale_key_ = 1.0;  ///< lut scale the memoized pow was built at
-  double noise_scale_ = 1.0;      ///< pow(noise_scale_key_, gamma)
-  bool fully_static_ = false;  ///< no supply, no noise, no modulation
+  fpga::SupplyScaleCache scale_cache_;      ///< time-varying rails only
+  std::uint64_t table_generation_ = ~std::uint64_t{0};
+  bool per_event_scales_ = false;  ///< the rail varies within a run
+  bool fixed_hops_ = false;  ///< no noise, no modulation: on a constant
+                             ///< rail a hop is a table constant
+  double noise_scale_ = 1.0;      ///< pow(lut scale, gamma), or 1
+  double noise_scale_key_ = 1.0;  ///< lut scale of the per-event memo
 
-  sim::NodeId node_ = sim::invalid_node;
+  sim::EventClock clock_;
+  Time pending_at_;           ///< the circulating event: when it fires
+  std::size_t pending_stage_ = 0;  ///< ... and which stage's output it is
   sim::SignalTrace output_;
   bool output_value_ = false;
   bool started_ = false;

@@ -15,6 +15,14 @@
 //  * period jitter is independent of L and ~ sqrt(2)*sigma_g (Fig. 12),
 //    while static per-LUT mismatch still averages over all stages (Table II);
 //  * deterministic supply modulation is strongly attenuated (Sec. IV-B).
+//
+// The ring is its own scheduler. At most one firing is pending per stage,
+// kept in a ring-local FlatHeap4 keyed by (time, schedule sequence), so
+// events due at the same time fire in schedule order; run_until() pops and
+// fires them in a direct loop with no virtual dispatch. The per-stage
+// Charlie parameters at the current operating point sit in one table,
+// rebuilt when the Supply's generation changes; only a time-varying rail (a
+// tone, regulator ripple) evaluates the voltage laws per firing.
 #pragma once
 
 #include <cstdint>
@@ -29,7 +37,8 @@
 #include "noise/modulation.hpp"
 #include "ring/charlie.hpp"
 #include "ring/str_logic.hpp"
-#include "sim/kernel.hpp"
+#include "sim/event_clock.hpp"
+#include "sim/event_queue.hpp"
 #include "sim/probe.hpp"
 
 namespace ringent::ring {
@@ -71,16 +80,31 @@ struct StrConfig {
   bool trace_all_stages = false;
 };
 
-class Str final : public sim::Process {
+class Str final {
  public:
   /// `initial` must be a valid oscillating pattern (see make_initial_state).
   /// `stage_noise` holds one dynamic noise source per stage, or is empty for
   /// a noise-free ring.
-  Str(sim::Kernel& kernel, const StrConfig& config, RingState initial,
+  Str(const StrConfig& config, const RingState& initial,
       std::vector<std::unique_ptr<noise::NoiseSource>> stage_noise);
 
   /// Schedule the initially enabled stages; call once before running.
   void start();
+
+  /// Fire every event due at or before `t_end` (>= now()), then park the
+  /// clock on `t_end`. Returns the events fired by this call.
+  std::uint64_t run_until(Time t_end);
+
+  /// Fire at most `max_events` events. Returns the events fired.
+  std::uint64_t run_events(std::uint64_t max_events);
+
+  /// Current simulation time, and events fired (stage firings) since
+  /// construction.
+  Time now() const { return clock_.now(); }
+  std::uint64_t events_fired() const { return clock_.events_fired(); }
+
+  /// True when no firing is pending (before start(), or a dead ring).
+  bool idle() const { return pending_.empty(); }
 
   /// Trace of the observed stage.
   sim::SignalTrace& output() { return *output_; }
@@ -91,7 +115,7 @@ class Str final : public sim::Process {
   std::vector<sim::SignalTrace>& stage_traces() { return traces_; }
 
   /// Current logical state (token/bubble snapshot).
-  const RingState& state() const { return state_; }
+  RingState state() const { return RingState(state_.begin(), state_.end()); }
 
   std::size_t stages() const { return config_.stages; }
   std::size_t tokens() const { return tokens_; }
@@ -102,12 +126,22 @@ class Str final : public sim::Process {
   /// steady-state separation is zero (paper Sec. III-B).
   Time nominal_period() const;
 
-  void fire(sim::Kernel& kernel, std::uint32_t tag) override;
-
-  /// Total stage firings so far.
-  std::uint64_t firings() const { return firings_; }
-
  private:
+  /// Charlie parameters of one stage at one operating point, formed in the
+  /// association order of the per-firing expressions
+  ///   routing_ps * (factor * routing_scale),
+  ///   D_mean * (factor * lut_scale), s0 * (factor * lut_scale),
+  ///   Dch * (factor * charlie_scale)
+  /// so a table entry is bit-identical to evaluating it per firing (and, at
+  /// unit scales, to the plain products with the process factor).
+  struct StageDelay {
+    double extra_ps = 0.0;     ///< routed delay
+    double d_mean_ps = 0.0;
+    double s_offset_ps = 0.0;
+    double dch_ps = 0.0;
+    double noise_scale = 1.0;  ///< pow(voltage part of lut scale, gamma)
+  };
+
   std::size_t prev(std::size_t i) const {
     return i == 0 ? config_.stages - 1 : i - 1;
   }
@@ -115,38 +149,38 @@ class Str final : public sim::Process {
     return i + 1 == config_.stages ? 0 : i + 1;
   }
   bool enabled(std::size_t i) const;
+  StageDelay stage_delay(std::size_t i,
+                         const fpga::SupplyScaleCache::Scales& scales);
+  /// Revalidate the table against the Supply's generation (between runs:
+  /// the rail only changes between ring calls).
+  void sync_supply();
   void try_schedule(std::size_t i, Time now);
+  void fire(std::size_t i, Time now);
+  std::uint64_t drain(Time t_end, std::uint64_t max_events);
 
-  sim::Kernel& kernel_;
   StrConfig config_;
   CharlieModel charlie_model_;
-  RingState state_;
+  std::vector<std::uint8_t> state_;  ///< C[i]; a byte reads faster than a bit
   std::size_t tokens_;
   std::vector<std::unique_ptr<noise::NoiseSource>> stage_noise_;
   std::vector<Time> last_change_;
   std::vector<std::uint8_t> scheduled_;
 
-  // Hot-path precompute (see try_schedule): per-stage products hoisted out
-  // of the per-event path in the exact association order of the original
-  // expressions — bit-identical, pinned by tests/test_hot_path.cpp.
-  std::vector<double> factor_;          ///< per-stage process factor
-  std::vector<double> routing_ps_;      ///< per-stage routed delay (ps)
-  std::vector<double> extra_base_;      ///< routing_ps_i * factor_i
-  std::vector<double> d_mean_scaled_;   ///< D_mean.ps() * factor_i
-  std::vector<double> s_offset_scaled_; ///< s0.ps() * factor_i
-  std::vector<double> dch_scaled_;      ///< Dch.ps() * factor_i
-  double d_mean_nom_ps_ = 0.0;          ///< D_mean.ps() (supply path)
-  double s_offset_nom_ps_ = 0.0;
-  double dch_nom_ps_ = 0.0;
+  std::vector<double> factor_;      ///< per-stage process factor
+  std::vector<double> routing_ps_;  ///< per-stage routed delay (ps)
+  std::vector<StageDelay> table_;   ///< at the current constant rail
   std::vector<noise::BlockSampler> noise_;  ///< block-buffered stage noise
-  fpga::SupplyScaleCache scale_cache_;
-  double noise_scale_key_ = 1.0;  ///< voltage-scale quotient of the memo
-  double noise_scale_ = 1.0;      ///< pow(noise_scale_key_, gamma)
+  fpga::SupplyScaleCache scale_cache_;      ///< time-varying rails only
+  std::uint64_t table_generation_ = ~std::uint64_t{0};
+  bool per_event_scales_ = false;  ///< the rail varies within a run
+  double noise_scale_key_ = 1.0;   ///< voltage-scale quotient of the memo
+  double noise_scale_ = 1.0;       ///< pow(noise_scale_key_, gamma)
+
+  sim::EventClock clock_;
+  sim::FlatHeap4 pending_;
   std::vector<sim::SignalTrace> traces_;
   sim::SignalTrace* output_;
   sim::SignalTrace observe_trace_;
-  sim::NodeId node_ = sim::invalid_node;
-  std::uint64_t firings_ = 0;
   bool started_ = false;
 };
 

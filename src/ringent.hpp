@@ -11,8 +11,8 @@
 #include "common/time.hpp"
 
 #include "sim/ascii_wave.hpp"
+#include "sim/event_clock.hpp"
 #include "sim/event_queue.hpp"
-#include "sim/kernel.hpp"
 #include "sim/probe.hpp"
 #include "sim/vcd.hpp"
 #include "sim/vcd_read.hpp"

@@ -1,15 +1,17 @@
-// The kernel's pending-event set.
+// The STR's pending-event set (ring/str.hpp).
 //
 // FlatHeap4 is a non-virtual flat 4-ary min-heap in structure-of-arrays
-// layout. Pop order is (time, sequence) — the determinism contract. The
-// ordering keys live in one dense 16-byte-per-event array so a sift touches
-// the minimum number of cache lines; the routing payload (node, tag) is
-// packed into a single uint64 in a parallel array and only read when an
-// event pops. 4-ary halves the tree depth of a binary heap and keeps all
-// four children of a node inside one cache line. Ring simulations keep a
-// few to a few hundred events pending, so the tree stays at most four
-// levels deep. tests/test_event_queue.cpp checks the pop sequence against
-// an ordered-set reference.
+// layout. Pop order is (time, sequence) — the determinism contract: events
+// due at the same time fire in schedule order. The ordering keys live in one
+// dense 16-byte-per-event array so a sift touches the minimum number of
+// cache lines; the payload (the stage that fires) sits in a parallel array
+// and is only read when an event pops. 4-ary halves the tree depth of a
+// binary heap and keeps all four children of a node inside one cache line.
+// An STR keeps at most one event pending per stage, a few to a few dozen in
+// practice, so the tree stays at most four levels deep. An IRO has exactly
+// one event in flight and needs no queue at all (ring/iro.hpp).
+// tests/test_event_queue.cpp checks the pop sequence against an ordered-set
+// reference.
 #pragma once
 
 #include <cstddef>
@@ -24,19 +26,18 @@ namespace ringent::sim {
 struct QueuedEvent {
   Time at;
   std::uint64_t seq = 0;
-  std::uint32_t node = 0;
-  std::uint32_t tag = 0;
+  std::uint32_t stage = 0;
 };
 
-/// A flat 4-ary min-heap with the ordering keys and the routing payload
-/// split into parallel arrays (see the file comment). Not virtual: every
-/// call inlines into the kernel loop. peek_min()/pop_min() return by value
+/// A flat 4-ary min-heap with the ordering keys and the payload split into
+/// parallel arrays (see the file comment). Not virtual: every call inlines
+/// into the ring's event loop. peek_min()/pop_min() return by value
 /// (the structure-of-arrays layout has no QueuedEvent to reference).
 class FlatHeap4 {
  public:
   void push(const QueuedEvent& event) {
     keys_.push_back(Key{event.at.fs(), event.seq});
-    payload_.push_back(pack(event.node, event.tag));
+    payload_.push_back(event.stage);
     sift_up(keys_.size() - 1);
   }
 
@@ -45,7 +46,7 @@ class FlatHeap4 {
     RINGENT_REQUIRE(!keys_.empty(), "pop from empty queue");
     const QueuedEvent out = make_event(keys_[0], payload_[0]);
     const Key last_key = keys_.back();
-    const std::uint64_t last_payload = payload_.back();
+    const std::uint32_t last_payload = payload_.back();
     keys_.pop_back();
     payload_.pop_back();
     if (!keys_.empty()) {
@@ -92,25 +93,20 @@ class FlatHeap4 {
     if (a.at_fs != b.at_fs) return a.at_fs < b.at_fs;
     return a.seq < b.seq;
   }
-  static std::uint64_t pack(std::uint32_t node, std::uint32_t tag) {
-    return (static_cast<std::uint64_t>(node) << 32) | tag;
-  }
-  static QueuedEvent make_event(Key key, std::uint64_t payload) {
-    return QueuedEvent{Time::from_fs(key.at_fs), key.seq,
-                       static_cast<std::uint32_t>(payload >> 32),
-                       static_cast<std::uint32_t>(payload)};
+  static QueuedEvent make_event(Key key, std::uint32_t payload) {
+    return QueuedEvent{Time::from_fs(key.at_fs), key.seq, payload};
   }
 
   void sift_up(std::size_t hole);
   void sift_down(std::size_t hole);
 
   std::vector<Key> keys_;
-  std::vector<std::uint64_t> payload_;
+  std::vector<std::uint32_t> payload_;
 };
 
 inline void FlatHeap4::sift_up(std::size_t hole) {
   const Key key = keys_[hole];
-  const std::uint64_t payload = payload_[hole];
+  const std::uint32_t payload = payload_[hole];
   while (hole > 0) {
     const std::size_t parent = (hole - 1) >> 2;
     if (!key_earlier(key, keys_[parent])) break;
@@ -132,7 +128,7 @@ inline void FlatHeap4::sift_down(std::size_t hole) {
   // valid heap shape pops the same sequence.
   const std::size_t n = keys_.size();
   const Key key = keys_[hole];
-  const std::uint64_t payload = payload_[hole];
+  const std::uint32_t payload = payload_[hole];
   const std::size_t start = hole;
   for (;;) {
     const std::size_t first_child = (hole << 2) + 1;

@@ -1,23 +1,23 @@
-// Kernel observability: process-wide simulation counters and phase timers.
+// Simulation observability: process-wide counters and phase timers.
 //
 // The simulation (schedule/fire, queue push/pop, Charlie evaluations) and
 // the TRNG health logic are instrumented with named counters. The design
 // constraints, in order:
 //
 //  1. Near-zero cost, off or on. Collection defaults to disabled; a bump()
-//     is one relaxed atomic load and a predictable branch. The event loop
-//     does not bump at all: sim::Kernel counts schedules, fires and its
-//     processes' counts itself and publishes them with one bump_all() per
-//     run call (see sim/kernel.hpp), so metrics-on costs the same per event
-//     as metrics-off (bench/perf_kernel.cpp, BM_KernelEventThroughput
-//     vs BM_KernelEventThroughputMetrics).
+//     is one relaxed atomic load and a predictable branch. The ring event
+//     loops do not bump at all: each ring counts its schedules, fires and
+//     model counts in a sim::EventClock and publishes them with one
+//     bump_all() per run call (see sim/event_clock.hpp), so metrics-on costs
+//     the same per event as metrics-off (bench/perf_kernel.cpp,
+//     BM_IroSimulation vs BM_IroSimulationMetrics).
 //  2. No cross-thread contention when on. Sweeps shard whole simulations
 //     across pool workers (sim/parallel.hpp); a shared counter array would
 //     serialize them on cache-line ping-pong. Each thread therefore adds to
 //     its own relaxed-atomic block; snapshot() sums the blocks.
 //  3. Deterministic totals. Counters never feed back into the simulation,
-//     and a quiescent snapshot (no batch in flight, no kernel call running
-//     on the snapshotting thread) is exact — the golden tests hand-count
+//     and a quiescent snapshot (no ring call running on the snapshotting
+//     thread) is exact — the golden tests hand-count
 //     event totals against it.
 //
 // Phase timers accumulate wall and thread-CPU time under string labels
@@ -42,14 +42,16 @@ namespace ringent::sim::metrics {
 /// Everything the simulation substrate counts. Keep counter_names in
 /// metrics.cpp in sync.
 enum class Counter : std::size_t {
-  events_scheduled,        ///< Kernel::schedule_at calls
-  events_fired,            ///< events delivered to a Process
-  events_cancelled,        ///< pending events dropped by Kernel::reset_time
-  heap_pushes,             ///< kernel schedules routed to the flat heap
-  heap_pops,               ///< kernel fires popped from the flat heap
-  // calendar_*: kept by name for the manifest and cell schema; read 0.
-  calendar_pushes,         ///< always 0: the kernel has no calendar queue
-  calendar_pops,           ///< always 0: the kernel has no calendar queue
+  events_scheduled,        ///< ring event schedules
+  events_fired,            ///< ring events fired
+  // events_cancelled, heap_*, calendar_*: kept by name for the manifest and
+  // cell schema. Rings never drop a pending event, and count every schedule
+  // as a push and every fire as a pop, as the retired event kernel did.
+  events_cancelled,        ///< always 0: rings never drop a pending event
+  heap_pushes,             ///< = events_scheduled
+  heap_pops,               ///< = events_fired
+  calendar_pushes,         ///< always 0: there is no calendar queue
+  calendar_pops,           ///< always 0: there is no calendar queue
   charlie_evaluations,     ///< CharlieModel::fire_time calls from the STR
   token_collision_checks,  ///< STR enabled()/schedule eligibility checks
   pool_tasks,              ///< tasks executed by sim::ThreadPool
@@ -107,8 +109,8 @@ inline void bump(Counter counter, std::uint64_t n = 1) {
 }
 
 /// Add `counts` (indexed by Counter) in one call: a single counter-block
-/// lookup and one relaxed add per nonzero entry. The kernel publishes its
-/// per-run-call counts through this.
+/// lookup and one relaxed add per nonzero entry. The ring event loops
+/// publish their per-run-call counts through this.
 void bump_all(const std::array<std::uint64_t, counter_count>& counts);
 
 struct PhaseStat {

@@ -6,7 +6,7 @@
 // of the library intact:
 //
 //  * one task = one self-contained simulation: the task body builds its own
-//    sim::Kernel / core::Oscillator and derives every RNG stream from
+//    core::Oscillator (or ring model) and derives every RNG stream from
 //    (master seed, label, task index) via derive_seed — tasks share nothing
 //    mutable, so the schedule cannot leak into the results;
 //  * results are collected by task index, never by completion order;

@@ -9,7 +9,7 @@
 // array terminator) instead of losing the whole buffer; stop() balances
 // any still-open spans with synthesized "E" events and closes the JSON so
 // a normal exit always yields a well-formed file. The span vocabulary,
-// coarse by design (spans bracket whole simulations, never kernel events):
+// coarse by design (spans bracket whole simulations, never ring events):
 //
 //   cat "driver" — one span per experiment-driver invocation
 //   cat "axis"   — one span per sweep point (the body of a pool task)

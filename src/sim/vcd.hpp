@@ -2,7 +2,7 @@
 //
 // Lets examples dump ring waveforms viewable in GTKWave — e.g. the token
 // cluster of a bursting STR vs the uniform wave of the evenly-spaced mode
-// (paper Fig. 5). Timescale is 1 fs to match the kernel grid.
+// (paper Fig. 5). Timescale is 1 fs to match the simulation grid.
 #pragma once
 
 #include <ostream>

@@ -10,7 +10,6 @@
 #include "core/calibration.hpp"
 #include "ring/analytic.hpp"
 #include "ring/str.hpp"
-#include "sim/kernel.hpp"
 
 using namespace ringent;
 using namespace ringent::literals;
@@ -45,18 +44,16 @@ TEST_P(AnalyticVsSimulation, PeriodMatchesEventSimulation) {
   const CharlieParams params = CharlieParams::symmetric(260_ps, 123_ps);
 
   const auto pred = predict_steady_state(params, 0_ps, stages, tokens);
-
-  sim::Kernel kernel;
   ring::StrConfig config;
   config.stages = stages;
   config.charlie = params;
-  ring::Str str(kernel, config,
+  ring::Str str(config,
                 ring::make_initial_state(stages, tokens,
                                          ring::TokenPlacement::evenly_spread),
                 {});
   str.output().set_record_from(Time::from_ns(500.0));
   str.start();
-  kernel.run_until(Time::from_us(6.0));
+  str.run_until(Time::from_us(6.0));
   const auto periods = analysis::periods_ps(str.output());
   ASSERT_GE(periods.size(), 50u) << "NT=" << tokens;
   const double simulated = describe(periods).mean();
@@ -76,18 +73,16 @@ TEST(Analytic, AsymmetricStageMatchesSimulation) {
               26.0 * 200.0 / 520.0, 1e-9);
 
   const auto pred = predict_steady_state(params, 0_ps, 26, 10);
-
-  sim::Kernel kernel;
   ring::StrConfig config;
   config.stages = 26;
   config.charlie = params;
-  ring::Str str(kernel, config,
+  ring::Str str(config,
                 ring::make_initial_state(26, 10,
                                          ring::TokenPlacement::evenly_spread),
                 {});
   str.output().set_record_from(Time::from_ns(500.0));
   str.start();
-  kernel.run_until(Time::from_us(6.0));
+  str.run_until(Time::from_us(6.0));
   const auto periods = analysis::periods_ps(str.output());
   ASSERT_GE(periods.size(), 50u);
   EXPECT_NEAR(describe(periods).mean() / pred.period.ps(), 1.0, 0.005);

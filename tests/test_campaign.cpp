@@ -291,6 +291,17 @@ TEST(CampaignSpecs, DriverMinimumsAreEnforcedAtParseTime) {
       // The coherent driver compares at least two boards.
       {"coherent_boards",
        R"({"ring":{"kind":"iro","stages":3},"design_detune":0.05,"board_count":1})"},
+      // A stuck stage past a ring's last stage freezes nothing.
+      {"attack_resilience",
+       R"({"rings":[{"kind":"iro","stages":5}],"sampling_period_fs":250000000,
+           "scenarios":[{"name":"stuck-99","events":[{"kind":"stuck_stage",
+             "start_fs":0,"stop_fs":1000000000,"stage":99}]}]})"},
+      // A kick on all 24 stages of the STR is a uniform delay step.
+      {"attack_resilience",
+       R"({"rings":[{"kind":"iro","stages":25},{"kind":"str","stages":24}],
+           "sampling_period_fs":250000000,
+           "scenarios":[{"name":"kick-all","events":[{"kind":"mode_kick",
+             "start_fs":0,"stop_fs":1000000000,"magnitude":80,"stage":24}]}]})"},
   };
   for (const auto& [experiment, text] : repros) {
     const core::ExperimentDescriptor* entry = core::find_experiment(experiment);
@@ -303,6 +314,24 @@ TEST(CampaignSpecs, DriverMinimumsAreEnforcedAtParseTime) {
                 std::string::npos)
           << experiment << ": " << error.what();
     }
+  }
+}
+
+TEST(CampaignSpecs, RingRuleErrorsNameTheSchemaWithoutSourcePaths) {
+  // A ring rule broken inside a spec reads as the schema, the key and the
+  // rule: no source file or line of the library.
+  const core::ExperimentDescriptor* entry = core::find_experiment("mode_map");
+  ASSERT_NE(entry, nullptr);
+  try {
+    entry->canonicalize(Json::parse(R"({"stages":8,"token_counts":[3]})"));
+    ADD_FAILURE() << "accepted an odd token count";
+  } catch (const Error& error) {
+    const std::string message = error.what();
+    EXPECT_EQ(message.rfind(std::string(entry->spec_schema), 0), 0u)
+        << message;
+    EXPECT_NE(message.find("cannot oscillate"), std::string::npos) << message;
+    EXPECT_EQ(message.find(".cpp:"), std::string::npos) << message;
+    EXPECT_EQ(message.find("requirement"), std::string::npos) << message;
   }
 }
 

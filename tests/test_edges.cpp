@@ -12,7 +12,7 @@
 #include "measure/frequency.hpp"
 #include "ring/analytic.hpp"
 #include "ring/str.hpp"
-#include "sim/kernel.hpp"
+#include "reference_sim.hpp"
 #include "sim/vcd.hpp"
 #include "sim/vcd_read.hpp"
 #include "trng/fips.hpp"
@@ -64,13 +64,14 @@ TEST(VcdEdges, ManySignalsUseMultiCharacterCodes) {
   EXPECT_EQ(doc.signals[99].trace.transitions()[0].at.fs(), 1'000'000);
 }
 
+// KernelEdges: the reference simulator's event kernel (tests/reference_sim.hpp).
 TEST(KernelEdges, EventsAtHorizonFireAndClockLandsOnHorizon) {
-  class Counter final : public sim::Process {
+  class Counter final : public reference::Process {
    public:
-    void fire(sim::Kernel&, std::uint32_t) override { ++count; }
+    void fire(reference::Kernel&, std::uint32_t) override { ++count; }
     int count = 0;
   };
-  sim::Kernel kernel;
+  reference::Kernel kernel;
   Counter counter;
   const auto id = kernel.add_process(&counter);
   kernel.schedule_at(100_ps, id);
@@ -83,11 +84,11 @@ TEST(KernelEdges, EventsAtHorizonFireAndClockLandsOnHorizon) {
 }
 
 TEST(KernelEdges, ResetAllowsFreshSchedules) {
-  class Nop final : public sim::Process {
+  class Nop final : public reference::Process {
    public:
-    void fire(sim::Kernel&, std::uint32_t) override {}
+    void fire(reference::Kernel&, std::uint32_t) override {}
   };
-  sim::Kernel kernel;
+  reference::Kernel kernel;
   Nop nop;
   const auto id = kernel.add_process(&nop);
   kernel.schedule_in(1_ns, id);
@@ -125,19 +126,17 @@ TEST(AnalyticEdges, RoutingCaseMatchesSimulationToo) {
       ring::CharlieParams::symmetric(260_ps, 123_ps);
   const Time routing = Time::from_ps(206.0);
   const auto pred = ring::predict_steady_state(params, routing, 32, 10);
-
-  sim::Kernel kernel;
   ring::StrConfig config;
   config.stages = 32;
   config.charlie = params;
   config.routing_per_hop = routing;
-  ring::Str str(kernel, config,
+  ring::Str str(config,
                 ring::make_initial_state(32, 10,
                                          ring::TokenPlacement::evenly_spread),
                 {});
   str.output().set_record_from(Time::from_ns(500.0));
   str.start();
-  kernel.run_until(Time::from_us(6.0));
+  str.run_until(Time::from_us(6.0));
   const auto periods = analysis::periods_ps(str.output());
   ASSERT_GE(periods.size(), 50u);
   double mean = 0.0;

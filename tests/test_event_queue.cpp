@@ -1,6 +1,6 @@
 // Tests for the kernel's pending-event set: FlatHeap4 ordering, payload
 // round-trip, and pop-sequence equivalence against a test-local reference
-// (an ordered std::set of (at, seq, node, tag)) under randomized workloads.
+// (an ordered std::set of (at, seq, stage)) under randomized workloads.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -18,16 +18,16 @@ using sim::QueuedEvent;
 namespace {
 
 QueuedEvent ev(std::int64_t fs, std::uint64_t seq) {
-  return QueuedEvent{Time::from_fs(fs), seq, 0, 0};
+  return QueuedEvent{Time::from_fs(fs), seq, 0};
 }
 
 /// The reference pending-event set: std::set orders the tuples by
 /// (at, seq) first — the determinism contract — and (time, seq) keys are
-/// unique, so node and tag never decide the order.
+/// unique, so the stage never decides the order.
 class ReferenceQueue {
  public:
   void push(const QueuedEvent& event) {
-    events_.emplace(event.at.fs(), event.seq, event.node, event.tag);
+    events_.emplace(event.at.fs(), event.seq, event.stage);
   }
   QueuedEvent pop_min() {
     const QueuedEvent out = peek_min();
@@ -35,17 +35,15 @@ class ReferenceQueue {
     return out;
   }
   QueuedEvent peek_min() const {
-    const auto& [at, seq, node, tag] = *events_.begin();
-    return QueuedEvent{Time::from_fs(at), seq, node, tag};
+    const auto& [at, seq, stage] = *events_.begin();
+    return QueuedEvent{Time::from_fs(at), seq, stage};
   }
   bool empty() const { return events_.empty(); }
   std::size_t size() const { return events_.size(); }
   void clear() { events_.clear(); }
 
  private:
-  std::set<std::tuple<std::int64_t, std::uint64_t, std::uint32_t,
-                      std::uint32_t>>
-      events_;
+  std::set<std::tuple<std::int64_t, std::uint64_t, std::uint32_t>> events_;
 };
 
 /// Pops one event from each; success when both pop the same event.
@@ -60,7 +58,7 @@ testing::AssertionResult same_pop(FlatHeap4& flat, ReferenceQueue& reference) {
   }
   const QueuedEvent a = flat.pop_min();
   const QueuedEvent b = reference.pop_min();
-  if (a.at != b.at || a.seq != b.seq || a.node != b.node || a.tag != b.tag) {
+  if (a.at != b.at || a.seq != b.seq || a.stage != b.stage) {
     return testing::AssertionFailure()
            << "heap popped (" << a.at.fs() << " fs, seq " << a.seq
            << "), reference (" << b.at.fs() << " fs, seq " << b.seq << ")";
@@ -90,17 +88,13 @@ TEST(FlatHeap4Queue, OrderAndTieBreak) {
   EXPECT_THROW(queue.pop_min(), PreconditionError);
 }
 
-TEST(FlatHeap4Queue, PreservesNodeAndTagPayload) {
-  // The SoA layout packs (node, tag) into one word; round-trip both limits.
+TEST(FlatHeap4Queue, PreservesStagePayload) {
+  // The stage rides in a parallel array; round-trip both limits.
   FlatHeap4 queue;
-  queue.push(QueuedEvent{Time::from_fs(10), 0, 0xFFFFFFFFu, 0u});
-  queue.push(QueuedEvent{Time::from_fs(5), 1, 7u, 0xFFFFFFFFu});
-  const QueuedEvent first = queue.pop_min();
-  EXPECT_EQ(first.node, 7u);
-  EXPECT_EQ(first.tag, 0xFFFFFFFFu);
-  const QueuedEvent second = queue.pop_min();
-  EXPECT_EQ(second.node, 0xFFFFFFFFu);
-  EXPECT_EQ(second.tag, 0u);
+  queue.push(QueuedEvent{Time::from_fs(10), 0, 0u});
+  queue.push(QueuedEvent{Time::from_fs(5), 1, 0xFFFFFFFFu});
+  EXPECT_EQ(queue.pop_min().stage, 0xFFFFFFFFu);
+  EXPECT_EQ(queue.pop_min().stage, 0u);
 }
 
 TEST(EventQueues, ReserveDoesNotChangePopOrder) {
@@ -128,7 +122,7 @@ TEST(EventQueues, ReserveDoesNotChangePopOrder) {
 
 TEST(EventQueues, PopSequencesAreIdentical) {
   // Bulk push then drain, with clustered times so the seq tie-break decides
-  // most pops; node and tag ride along and must come back with their event.
+  // most pops; the stage rides along and must come back with its event.
   FlatHeap4 flat;
   ReferenceQueue reference;
   Xoshiro256 rng(17);
@@ -136,7 +130,6 @@ TEST(EventQueues, PopSequencesAreIdentical) {
   for (int i = 0; i < 20000; ++i) {
     const auto t = static_cast<std::int64_t>(rng.below(5000) * 100);
     const QueuedEvent event{Time::from_fs(t), seq++,
-                            static_cast<std::uint32_t>(rng.below(97)),
                             static_cast<std::uint32_t>(rng.next())};
     flat.push(event);
     reference.push(event);

@@ -21,7 +21,6 @@
 #include "trng/health.hpp"
 #include "analysis/entropy.hpp"
 #include "ring/str.hpp"
-#include "sim/kernel.hpp"
 #include "trng/phase_trng.hpp"
 
 using namespace ringent;
@@ -78,17 +77,16 @@ TEST(CharlieDiagram, NoiseFreeRingSitsAtTheAnalyticOperatingPoint) {
   for (std::size_t tokens : {8u, 16u, 24u}) {
     const ring::CharlieParams params =
         ring::CharlieParams::symmetric(260_ps, 123_ps);
-    sim::Kernel kernel;
     ring::StrConfig config;
     config.stages = 32;
     config.charlie = params;
     config.trace_all_stages = true;
-    ring::Str str(kernel, config,
+    ring::Str str(config,
                   ring::make_initial_state(32, tokens,
                                            ring::TokenPlacement::evenly_spread),
                   {});
     str.start();
-    kernel.run_until(Time::from_us(2.0));
+    str.run_until(Time::from_us(2.0));
 
     const auto points = ring::extract_charlie_points(str.stage_traces(), 64);
     ASSERT_GT(points.size(), 500u) << "NT=" << tokens;
@@ -113,7 +111,6 @@ TEST(CharlieDiagram, NoiseFreeRingSitsAtTheAnalyticOperatingPoint) {
 TEST(CharlieDiagram, NoisyPointsLieOnTheEq3Curve) {
   const ring::CharlieParams params =
       ring::CharlieParams::symmetric(260_ps, 123_ps);
-  sim::Kernel kernel;
   ring::StrConfig config;
   config.stages = 24;
   config.charlie = params;
@@ -123,12 +120,12 @@ TEST(CharlieDiagram, NoisyPointsLieOnTheEq3Curve) {
     noise.push_back(
         std::make_unique<noise::GaussianNoise>(10.0, derive_seed(3, "n", i)));
   }
-  ring::Str str(kernel, config,
+  ring::Str str(config,
                 ring::make_initial_state(24, 12,
                                          ring::TokenPlacement::evenly_spread),
                 std::move(noise));
   str.start();
-  kernel.run_until(Time::from_us(4.0));
+  str.run_until(Time::from_us(4.0));
 
   const auto points = ring::extract_charlie_points(str.stage_traces(), 64);
   const auto curve = ring::binned_charlie_curve(points, 10.0, 30);
@@ -196,7 +193,6 @@ TEST(CharlieFit, RecoversCalibrationFromRunningRings) {
   // calibration the simulator was built with.
   std::vector<ring::CharliePoint> points;
   for (std::size_t tokens : {8u, 12u, 16u, 20u, 24u}) {
-    sim::Kernel kernel;
     ring::StrConfig config;
     config.stages = 32;
     config.charlie = ring::CharlieParams::symmetric(260_ps, 123_ps);
@@ -206,12 +202,12 @@ TEST(CharlieFit, RecoversCalibrationFromRunningRings) {
       probe.push_back(std::make_unique<noise::GaussianNoise>(
           6.0, derive_seed(5, "p", tokens * 64 + i)));
     }
-    ring::Str str(kernel, config,
+    ring::Str str(config,
                   ring::make_initial_state(32, tokens,
                                            ring::TokenPlacement::evenly_spread),
                   std::move(probe));
     str.start();
-    kernel.run_until(Time::from_us(2.0));
+    str.run_until(Time::from_us(2.0));
     const auto extracted = ring::extract_charlie_points(str.stage_traces(), 64);
     points.insert(points.end(), extracted.begin(), extracted.end());
   }

@@ -1,7 +1,8 @@
-// Regression tests pinning the kernel hot-path optimizations bit-exact.
+// Regression tests pinning the ring hot-path optimizations bit-exact.
 //
-// The event-path rework (flat 4-ary heap, per-stage delay precompute, batched
-// noise draws, prescaled Charlie arithmetic, rint-based Time rounding) hoists
+// The event-path rework (ring-owned event loops, flat 4-ary heap, per-stage
+// delay tables, batched noise draws, prescaled Charlie arithmetic, rint-based
+// Time rounding) hoists
 // arithmetic out of the per-event path WITHOUT changing any computed value.
 // Each test here compares an optimized path against a straight transcription
 // of the original per-event arithmetic and requires femtosecond-exact (or
@@ -24,7 +25,6 @@
 #include "ring/charlie.hpp"
 #include "ring/iro.hpp"
 #include "ring/str.hpp"
-#include "sim/kernel.hpp"
 #include "sim/metrics.hpp"
 
 using namespace ringent;
@@ -37,7 +37,7 @@ namespace {
 // product formed per event, in the original association order — driven by an
 // independent copy of the same noise streams. The IRO's single circulating
 // event makes the whole simulation a scalar recurrence, so the reference
-// needs no kernel: any arithmetic divergence cascades into different event
+// needs no event queue: any arithmetic divergence cascades into different event
 // times for the rest of the run.
 struct ReferenceIro {
   const ring::IroConfig& config;
@@ -107,13 +107,12 @@ std::vector<std::unique_ptr<noise::NoiseSource>> gaussian_bank(
 
 std::vector<Time> simulate_iro_edges(const ring::IroConfig& config,
                                      std::uint64_t noise_seed, Time t_end) {
-  sim::Kernel kernel;
-  ring::Iro iro(kernel, config,
+  ring::Iro iro(config,
                 config.stages > 0 && noise_seed != 0
                     ? gaussian_bank(config.stages, 2.0, noise_seed)
                     : std::vector<std::unique_ptr<noise::NoiseSource>>{});
   iro.start();
-  kernel.run_until(t_end);
+  iro.run_until(t_end);
   return iro.output().rising_edges();
 }
 
@@ -270,7 +269,7 @@ TEST(HotPath, SupplyScaleCacheMatchesDirectComputation) {
   Xoshiro256 rng(4242);
   Time now = Time::zero();
   for (int i = 0; i < 2000; ++i) {
-    // Monotone timestamps with repeats (the kernel often asks twice at one
+    // Monotone timestamps with repeats (an STR often asks twice at one
     // event time) and occasional setter calls invalidating the cache.
     if (rng.below(50) == 0) supply.set_level(rng.uniform(1.0, 1.4));
     if (rng.below(3) != 0) {
@@ -285,26 +284,25 @@ TEST(HotPath, SupplyScaleCacheMatchesDirectComputation) {
 }
 
 TEST(HotPath, StrDevirtualizedRouteMatchesVirtualCounters) {
-  // The kernel has one route: run_until, virtual Process::fire, flat 4-ary
-  // heap. (The name predates it: a removed devirtualized route was pinned
-  // to the same counters.) The structural counters (heap traffic, Charlie
-  // evaluations) stay pinned to the golden values below — any drift means
-  // a hot-path change altered behaviour, not just speed.
+  // The STR runs its own loop over a ring-local flat 4-ary heap. (The name
+  // predates it: a devirtualized kernel route, and then the virtual one,
+  // were pinned to the same counters.) The structural counters (heap
+  // traffic, Charlie evaluations) stay pinned to the golden values below —
+  // any drift means a hot-path change altered behaviour, not just speed.
   namespace metrics = sim::metrics;
   const bool was_enabled = metrics::enabled();
   metrics::set_enabled(true);
-  sim::Kernel kernel;
   ring::StrConfig config;
   config.stages = 8;
   config.charlie =
       ring::CharlieParams::symmetric(Time::from_ps(260.0), Time::from_ps(120.0));
   ring::Str str(
-      kernel, config,
+      config,
       ring::make_initial_state(8, 4, ring::TokenPlacement::evenly_spread),
       gaussian_bank(8, 2.0, 777));
   str.start();
   const metrics::Snapshot before = metrics::snapshot();
-  kernel.run_until(Time::from_ns(400.0));
+  str.run_until(Time::from_ns(400.0));
   const metrics::Snapshot virtual_route =
       metrics::snapshot().delta_since(before);
   metrics::set_enabled(was_enabled);

@@ -13,7 +13,6 @@
 #include "noise/jitter.hpp"
 #include "noise/modulation.hpp"
 #include "ring/iro.hpp"
-#include "sim/kernel.hpp"
 
 using namespace ringent;
 using namespace ringent::literals;
@@ -35,14 +34,13 @@ std::vector<std::unique_ptr<noise::NoiseSource>> gaussian_noise(
 }  // namespace
 
 TEST(Iro, NoiseFreePeriodIsTwoLaps) {
-  sim::Kernel kernel;
   IroConfig config;
   config.stages = 5;
   config.lut_delay = 250_ps;
   config.routing_per_hop = 10_ps;
-  Iro iro(kernel, config, {});
+  Iro iro(config, {});
   iro.start();
-  kernel.run_until(Time::from_ns(200.0));
+  iro.run_until(Time::from_ns(200.0));
 
   EXPECT_EQ(iro.nominal_period(), 2600_ps);  // 2 * 5 * 260 ps
   const auto periods = analysis::periods_ps(iro.output());
@@ -51,14 +49,13 @@ TEST(Iro, NoiseFreePeriodIsTwoLaps) {
 }
 
 TEST(Iro, StageFactorsStretchThePeriod) {
-  sim::Kernel kernel;
   IroConfig config;
   config.stages = 3;
   config.lut_delay = 100_ps;
   config.stage_factors = {1.0, 2.0, 3.0};
-  Iro iro(kernel, config, {});
+  Iro iro(config, {});
   iro.start();
-  kernel.run_until(Time::from_ns(50.0));
+  iro.run_until(Time::from_ns(50.0));
   const auto periods = analysis::periods_ps(iro.output());
   ASSERT_GE(periods.size(), 3u);
   EXPECT_NEAR(periods.front(), 2.0 * (100.0 + 200.0 + 300.0), 1e-6);
@@ -70,7 +67,6 @@ TEST(Iro, VoltageLawScalesFrequencyLinearly) {
                                fpga::DelayVoltageLaw(-0.40, 1.2),
                                fpga::DelayVoltageLaw(0.385, 1.2)};
   const auto period_at = [&](double volts) {
-    sim::Kernel kernel;
     fpga::Supply supply(1.2);
     supply.set_level(volts);
     IroConfig config;
@@ -78,9 +74,9 @@ TEST(Iro, VoltageLawScalesFrequencyLinearly) {
     config.lut_delay = 250_ps;
     config.supply = &supply;
     config.laws = &laws;
-    Iro iro(kernel, config, {});
+    Iro iro(config, {});
     iro.start();
-    kernel.run_until(Time::from_ns(100.0));
+    iro.run_until(Time::from_ns(100.0));
     return analysis::periods_ps(iro.output()).back();
   };
   const double f10 = 1.0 / period_at(1.0);
@@ -94,27 +90,25 @@ TEST(Iro, VoltageLawScalesFrequencyLinearly) {
 TEST(Iro, DeterministicModulationShiftsPeriods) {
   // A static +20 ps per hop from t=0 lengthens the period by 2k * 20 ps.
   noise::StepDelayModulation mod(20.0, 0_fs);
-  sim::Kernel kernel;
   IroConfig config;
   config.stages = 4;
   config.lut_delay = 200_ps;
   config.modulation = &mod;
-  Iro iro(kernel, config, {});
+  Iro iro(config, {});
   iro.start();
-  kernel.run_until(Time::from_ns(60.0));
+  iro.run_until(Time::from_ns(60.0));
   const auto periods = analysis::periods_ps(iro.output());
   ASSERT_FALSE(periods.empty());
   EXPECT_NEAR(periods.back(), 2.0 * 4.0 * 220.0, 1e-6);
 }
 
 TEST(Iro, PeriodsAreIndependentGaussian) {
-  sim::Kernel kernel;
   IroConfig config;
   config.stages = 5;
   config.lut_delay = 250_ps;
-  Iro iro(kernel, config, gaussian_noise(5, 2.0, 77));
+  Iro iro(config, gaussian_noise(5, 2.0, 77));
   iro.start();
-  kernel.run_until(Time::from_us(60.0));
+  iro.run_until(Time::from_us(60.0));
 
   const auto periods = analysis::periods_ps(iro.output());
   ASSERT_GE(periods.size(), 20000u);
@@ -133,14 +127,13 @@ class IroJitterLaw : public ::testing::TestWithParam<std::size_t> {};
 TEST_P(IroJitterLaw, MatchesSqrt2kSigmaG) {
   const std::size_t stages = GetParam();
   const double sigma_g = 2.0;
-  sim::Kernel kernel;
   IroConfig config;
   config.stages = stages;
   config.lut_delay = 250_ps;
-  Iro iro(kernel, config, gaussian_noise(stages, sigma_g, 1000 + stages));
+  Iro iro(config, gaussian_noise(stages, sigma_g, 1000 + stages));
   iro.start();
   const std::size_t want = 12000;
-  kernel.run_until(iro.nominal_period() * static_cast<std::int64_t>(want + 4));
+  iro.run_until(iro.nominal_period() * static_cast<std::int64_t>(want + 4));
 
   const auto periods = analysis::periods_ps(iro.output());
   ASSERT_GE(periods.size(), want);
@@ -155,13 +148,12 @@ INSTANTIATE_TEST_SUITE_P(StageSweep, IroJitterLaw,
 
 TEST(Iro, CausalityUnderHugeNoise) {
   // Noise sigma comparable to the stage delay: edges must stay monotone.
-  sim::Kernel kernel;
   IroConfig config;
   config.stages = 3;
   config.lut_delay = 50_ps;
-  Iro iro(kernel, config, gaussian_noise(3, 40.0, 5));
+  Iro iro(config, gaussian_noise(3, 40.0, 5));
   iro.start();
-  kernel.run_until(Time::from_ns(300.0));
+  iro.run_until(Time::from_ns(300.0));
   const auto edges = iro.output().rising_edges();
   ASSERT_GE(edges.size(), 100u);
   for (std::size_t i = 1; i < edges.size(); ++i) {
@@ -170,18 +162,17 @@ TEST(Iro, CausalityUnderHugeNoise) {
 }
 
 TEST(Iro, Preconditions) {
-  sim::Kernel kernel;
   IroConfig config;
   config.stages = 0;
-  EXPECT_THROW(Iro(kernel, config, {}), PreconditionError);
+  EXPECT_THROW(Iro(config, {}), PreconditionError);
 
   config.stages = 4;
   config.stage_factors = {1.0, 1.0};  // wrong size
-  EXPECT_THROW(Iro(kernel, config, {}), PreconditionError);
+  EXPECT_THROW(Iro(config, {}), PreconditionError);
 
   config.stage_factors.clear();
   config.lut_delay = 0_ps;
-  EXPECT_THROW(Iro(kernel, config, {}), PreconditionError);
+  EXPECT_THROW(Iro(config, {}), PreconditionError);
 
   config.lut_delay = 100_ps;
   config.supply = nullptr;
@@ -190,9 +181,9 @@ TEST(Iro, Preconditions) {
                                       fpga::DelayVoltageLaw(-0.40, 1.2),
                                       fpga::DelayVoltageLaw(0.385, 1.2)};
   with_laws.laws = &laws;  // laws without supply
-  EXPECT_THROW(Iro(kernel, with_laws, {}), PreconditionError);
+  EXPECT_THROW(Iro(with_laws, {}), PreconditionError);
 
-  Iro ok(kernel, config, {});
+  Iro ok(config, {});
   ok.start();
   EXPECT_THROW(ok.start(), PreconditionError);  // double start
 }

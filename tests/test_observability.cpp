@@ -1,4 +1,4 @@
-// Tests for the observability layer: hand-counted kernel metrics, phase
+// Tests for the observability layer: hand-counted ring metrics, phase
 // timers, JSON values, run manifests (schema + round trip), Chrome-trace
 // span files and the shared bench CLI.
 //
@@ -23,7 +23,6 @@
 #include "noise/jitter.hpp"
 #include "ring/iro.hpp"
 #include "ring/str.hpp"
-#include "sim/kernel.hpp"
 #include "sim/metrics.hpp"
 #include "sim/parallel.hpp"
 #include "sim/trace.hpp"
@@ -95,15 +94,14 @@ TEST(Metrics, IroCountersMatchHandCount) {
   // totals are forced: N fired, N+1 scheduled (the last one still pending),
   // and every schedule is one heap push and every fire one heap pop.
   const MetricsGuard guard;
-  sim::Kernel kernel;
   ring::IroConfig config;
   config.stages = 3;
   config.lut_delay = 250_ps;
-  ring::Iro iro(kernel, config, {});
+  ring::Iro iro(config, {});
   iro.start();
 
   constexpr std::uint64_t kEvents = 1000;
-  kernel.run_events(kEvents);
+  iro.run_events(kEvents);
 
   const metrics::Snapshot snap = metrics::snapshot();
   EXPECT_EQ(snap.counter(metrics::Counter::events_fired), kEvents);
@@ -113,23 +111,22 @@ TEST(Metrics, IroCountersMatchHandCount) {
   EXPECT_EQ(snap.counter(metrics::Counter::calendar_pushes), 0u);
   EXPECT_EQ(snap.counter(metrics::Counter::charlie_evaluations), 0u);
   EXPECT_EQ(snap.counter(metrics::Counter::events_cancelled), 0u);
-  EXPECT_EQ(kernel.events_fired(), kEvents);  // agrees with the kernel's own
+  EXPECT_EQ(iro.events_fired(), kEvents);  // agrees with the ring's own
 }
 
 TEST(Metrics, StrCountsCharlieEvaluationsPerSchedule) {
   // Every event an STR schedules prices its firing through the Charlie
   // model exactly once, and every eligibility probe is counted.
   const MetricsGuard guard;
-  sim::Kernel kernel;
   ring::StrConfig config;
   config.stages = 8;
   config.charlie = ring::CharlieParams::symmetric(260_ps, 123_ps);
-  ring::Str str(kernel, config,
+  ring::Str str(config,
                 ring::make_initial_state(8, 4,
                                          ring::TokenPlacement::evenly_spread),
                 {});
   str.start();
-  kernel.run_events(2000);
+  str.run_events(2000);
 
   const metrics::Snapshot snap = metrics::snapshot();
   EXPECT_EQ(snap.counter(metrics::Counter::charlie_evaluations),
@@ -139,58 +136,18 @@ TEST(Metrics, StrCountsCharlieEvaluationsPerSchedule) {
   EXPECT_EQ(snap.counter(metrics::Counter::events_fired), 2000u);
 }
 
-TEST(Metrics, ResetTimeCountsCancelledEvents) {
-  {
-    const MetricsGuard guard;
-    sim::Kernel kernel;
-    ring::IroConfig config;
-    config.stages = 3;
-    ring::Iro iro(kernel, config, {});
-    iro.start();
-    kernel.run_events(10);
-    // Exactly one successor event is pending; reset_time drops it.
-    kernel.reset_time();
-    const metrics::Snapshot snap = metrics::snapshot();
-    EXPECT_EQ(snap.counter(metrics::Counter::events_cancelled), 1u);
-  }
-  // An STR keeps several events pending; reset_time cancels all of them
-  // and the count is visible at once.
-  {
-    const MetricsGuard guard;
-    sim::Kernel kernel;
-    ring::StrConfig config;
-    config.stages = 8;
-    config.charlie = ring::CharlieParams::symmetric(260_ps, 123_ps);
-    ring::Str str(kernel, config,
-                  ring::make_initial_state(
-                      8, 4, ring::TokenPlacement::evenly_spread),
-                  {});
-    str.start();
-    kernel.run_events(333);
-    ASSERT_FALSE(kernel.idle());
-    kernel.reset_time();
-    EXPECT_TRUE(kernel.idle());
-    const metrics::Snapshot snap = metrics::snapshot();
-    EXPECT_GT(snap.counter(metrics::Counter::events_cancelled), 0u);
-    EXPECT_EQ(snap.counter(metrics::Counter::events_cancelled),
-              snap.counter(metrics::Counter::events_scheduled) -
-                  snap.counter(metrics::Counter::events_fired));
-  }
-}
-
-// --- counters: the kernel publishes once per run call ------------------------
+// --- counters: a ring publishes once per run call ---------------------------
 //
-// The kernel accumulates its counts and publishes them when a run call
-// returns; schedules and counts issued outside a run call publish before
-// returning. A snapshot taken between kernel calls is therefore exact.
+// A ring accumulates its counts and publishes them when a run call (or
+// start()) returns, however it returns. A snapshot taken between ring calls
+// is therefore exact.
 
 TEST(Metrics, StartSchedulesAreVisibleBeforeTheFirstRun) {
   const MetricsGuard guard;
-  sim::Kernel kernel;
   ring::StrConfig config;
   config.stages = 8;
   config.charlie = ring::CharlieParams::symmetric(260_ps, 123_ps);
-  ring::Str str(kernel, config,
+  ring::Str str(config,
                 ring::make_initial_state(8, 4,
                                          ring::TokenPlacement::evenly_spread),
                 {});
@@ -204,11 +161,10 @@ TEST(Metrics, StartSchedulesAreVisibleBeforeTheFirstRun) {
   EXPECT_EQ(snap.counter(metrics::Counter::heap_pushes), 4u);
   EXPECT_EQ(snap.counter(metrics::Counter::events_fired), 0u);
 
-  // An IRO's start() is a bare schedule, with no process count after it.
-  sim::Kernel iro_kernel;
+  // An IRO's start() is a bare schedule, with no model count after it.
   ring::IroConfig iro_config;
   iro_config.stages = 3;
-  ring::Iro iro(iro_kernel, iro_config, {});
+  ring::Iro iro(iro_config, {});
   iro.start();
   EXPECT_EQ(metrics::snapshot().counter(metrics::Counter::events_scheduled),
             5u);
@@ -218,16 +174,15 @@ TEST(Metrics, SnapshotIsExactBetweenShortRuns) {
   // A noise-free IRO keeps exactly one event in flight: after any run,
   // scheduled = fired + 1. Check it after each of several short runs.
   const MetricsGuard guard;
-  sim::Kernel kernel;
   ring::IroConfig config;
   config.stages = 5;
   config.lut_delay = 250_ps;
-  ring::Iro iro(kernel, config, {});
+  ring::Iro iro(config, {});
   iro.start();
   for (int step = 1; step <= 5; ++step) {
-    kernel.run_until(Time::from_ns(3.0 * step));
+    iro.run_until(Time::from_ns(3.0 * step));
     const metrics::Snapshot snap = metrics::snapshot();
-    const std::uint64_t fired = kernel.events_fired();
+    const std::uint64_t fired = iro.events_fired();
     ASSERT_GT(fired, 0u);
     EXPECT_EQ(snap.counter(metrics::Counter::events_fired), fired) << step;
     EXPECT_EQ(snap.counter(metrics::Counter::heap_pops), fired) << step;
@@ -239,87 +194,107 @@ TEST(Metrics, SnapshotIsExactBetweenShortRuns) {
 
 namespace {
 
-/// Self-rescheduling process that counts one token-collision check per
-/// fire through the kernel, and can switch metrics off or throw on a
-/// chosen fire.
-class Probe final : public sim::Process {
+/// A noise source for a one-stage IRO that draws zeros and can switch
+/// metrics off or throw on a chosen block refill. The ring draws its noise
+/// 64 samples at a time (noise::BlockSampler): refill k happens on the hop
+/// drawn by fire 64 (k - 1), start() drawing the first.
+class ProbeNoise final : public noise::NoiseSource {
  public:
-  void fire(sim::Kernel& kernel, std::uint32_t) override {
-    ++fires;
-    kernel.count(metrics::Counter::token_collision_checks);
-    if (fires == disable_at) metrics::set_enabled(false);
-    if (fires == throw_at) throw std::runtime_error("probe failure");
-    kernel.schedule_in(1_ps, self);
+  double sample_ps() override { return 0.0; }
+  void fill_ps(double* out, std::size_t n) override {
+    ++fills;
+    if (fills == disable_at) metrics::set_enabled(false);
+    if (fills == throw_at) throw std::runtime_error("probe failure");
+    for (std::size_t i = 0; i < n; ++i) out[i] = 0.0;
   }
-  sim::NodeId self = sim::invalid_node;
-  std::uint64_t fires = 0;
+  std::uint64_t fills = 0;
   std::uint64_t disable_at = 0;
   std::uint64_t throw_at = 0;
+};
+
+/// A one-stage IRO driven by a ProbeNoise the caller configures.
+struct ProbeRing {
+  ProbeRing() {
+    auto source = std::make_unique<ProbeNoise>();
+    probe = source.get();
+    std::vector<std::unique_ptr<noise::NoiseSource>> bank;
+    bank.push_back(std::move(source));
+    ring::IroConfig config;
+    config.stages = 1;
+    iro = std::make_unique<ring::Iro>(config, std::move(bank));
+  }
+  ProbeNoise* probe = nullptr;
+  std::unique_ptr<ring::Iro> iro;
 };
 
 }  // namespace
 
 TEST(Metrics, ProcessCountsPublishWithTheRunCall) {
+  // The STR's own counts (eligibility probes, Charlie evaluations) publish
+  // with its schedule and fire totals: start() probes all 8 stages, every
+  // fire probes its two neighbours.
   const MetricsGuard guard;
-  sim::Kernel kernel;
-  Probe probe;
-  probe.self = kernel.add_process(&probe);
-  kernel.schedule_in(1_ps, probe.self);
+  ring::StrConfig config;
+  config.stages = 8;
+  config.charlie = ring::CharlieParams::symmetric(260_ps, 123_ps);
+  ring::Str str(config,
+                ring::make_initial_state(8, 4,
+                                         ring::TokenPlacement::evenly_spread),
+                {});
+  str.start();
   for (std::uint64_t runs = 1; runs <= 3; ++runs) {
-    kernel.run_events(100);
+    str.run_events(100);
     const metrics::Snapshot snap = metrics::snapshot();
     EXPECT_EQ(snap.counter(metrics::Counter::token_collision_checks),
-              100 * runs);
+              8 + 200 * runs);
     EXPECT_EQ(snap.counter(metrics::Counter::events_fired), 100 * runs);
+    EXPECT_EQ(snap.counter(metrics::Counter::charlie_evaluations),
+              snap.counter(metrics::Counter::events_scheduled));
+    // NT = NB = 4 evenly spread: four firings always in flight.
     EXPECT_EQ(snap.counter(metrics::Counter::events_scheduled),
-              100 * runs + 1);
+              100 * runs + 4);
   }
 }
 
 TEST(Metrics, DisabledAtPublishTimePublishesNothing) {
   const MetricsGuard guard;
-  sim::Kernel kernel;
-  Probe probe;
-  probe.self = kernel.add_process(&probe);
-  kernel.schedule_in(1_ps, probe.self);  // published: metrics are on
-  // Metrics go off mid-run: the whole run call publishes nothing.
-  probe.disable_at = 10;
-  kernel.run_events(50);
+  ProbeRing ring;
+  ring.iro->start();  // published: metrics are on
+  // Metrics go off mid-run (the refill on fire 64): the whole run call
+  // publishes nothing.
+  ring.probe->disable_at = 2;
+  ring.iro->run_events(100);
   metrics::Snapshot snap = metrics::snapshot();
   EXPECT_EQ(snap.counter(metrics::Counter::events_scheduled), 1u);
   EXPECT_EQ(snap.counter(metrics::Counter::events_fired), 0u);
-  EXPECT_EQ(snap.counter(metrics::Counter::token_collision_checks), 0u);
 
   // Back on: the next run publishes its own counts only; the dropped ones
   // do not come back.
   metrics::set_enabled(true);
-  kernel.run_events(20);
+  ring.iro->run_events(20);
   snap = metrics::snapshot();
   EXPECT_EQ(snap.counter(metrics::Counter::events_scheduled), 21u);
   EXPECT_EQ(snap.counter(metrics::Counter::events_fired), 20u);
-  EXPECT_EQ(snap.counter(metrics::Counter::token_collision_checks), 20u);
-  EXPECT_EQ(kernel.events_fired(), 70u);
+  EXPECT_EQ(ring.iro->events_fired(), 120u);
 }
 
 TEST(Metrics, ThrowingFirePublishesWhatItFired) {
   const MetricsGuard guard;
-  sim::Kernel kernel;
-  Probe probe;
-  probe.self = kernel.add_process(&probe);
-  kernel.schedule_in(1_ps, probe.self);
-  probe.throw_at = 7;
-  EXPECT_THROW(kernel.run_events(100), std::runtime_error);
-  // Seven events fired (the last one threw before rescheduling): one
-  // initial schedule plus six successors.
+  ProbeRing ring;
+  ring.iro->start();
+  ring.probe->throw_at = 2;
+  EXPECT_THROW(ring.iro->run_events(100), std::runtime_error);
+  // Sixty-four events fired (the last one threw drawing its successor's
+  // hop): the start schedule plus 63 successors.
   const metrics::Snapshot snap = metrics::snapshot();
-  EXPECT_EQ(snap.counter(metrics::Counter::events_fired), 7u);
-  EXPECT_EQ(snap.counter(metrics::Counter::heap_pops), 7u);
-  EXPECT_EQ(snap.counter(metrics::Counter::events_scheduled), 7u);
-  EXPECT_EQ(snap.counter(metrics::Counter::token_collision_checks), 7u);
+  EXPECT_EQ(snap.counter(metrics::Counter::events_fired), 64u);
+  EXPECT_EQ(snap.counter(metrics::Counter::heap_pops), 64u);
+  EXPECT_EQ(snap.counter(metrics::Counter::events_scheduled), 64u);
+  EXPECT_EQ(snap.counter(metrics::Counter::heap_pushes), 64u);
 }
 
 TEST(Metrics, EntropyMapManifestCountersAreJobsInvariant) {
-  // Each worker's kernel publishes into that worker's counter block; the
+  // Each worker's rings publish into that worker's counter block; the
   // manifest's totals must not depend on how cells were sharded.
   const core::ExperimentDescriptor* entry =
       core::find_experiment("entropy_map");
@@ -348,12 +323,11 @@ TEST(Metrics, EntropyMapManifestCountersAreJobsInvariant) {
 TEST(Metrics, DisabledCountersStayZero) {
   metrics::set_enabled(false);
   metrics::reset();
-  sim::Kernel kernel;
   ring::IroConfig config;
   config.stages = 3;
-  ring::Iro iro(kernel, config, {});
+  ring::Iro iro(config, {});
   iro.start();
-  kernel.run_events(500);
+  iro.run_events(500);
   const metrics::Snapshot snap = metrics::snapshot();
   for (std::size_t i = 0; i < metrics::counter_count; ++i) {
     EXPECT_EQ(snap.counters[i], 0u) << metrics::counter_name(

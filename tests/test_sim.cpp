@@ -1,23 +1,26 @@
-// Unit tests for sim/: event kernel, probes, VCD writer.
+// Unit tests for sim/ (probes, VCD writer) and for the generic event kernel
+// of the reference simulator (tests/reference_sim.hpp) that
+// tests/test_ring_oracle.cpp holds the ring-owned event loops against: its
+// ordering contract is what makes it a reference.
 #include <gtest/gtest.h>
 
 #include <sstream>
 #include <vector>
 
 #include "common/require.hpp"
-#include "sim/kernel.hpp"
+#include "reference_sim.hpp"
 #include "sim/probe.hpp"
 #include "sim/vcd.hpp"
 
 using namespace ringent;
 using namespace ringent::literals;
-using sim::Kernel;
+using reference::Kernel;
 using sim::SignalTrace;
 
 namespace {
 
 /// Records (fire time, tag) pairs; optionally reschedules itself.
-class Recorder final : public sim::Process {
+class Recorder final : public reference::Process {
  public:
   void fire(Kernel& kernel, std::uint32_t tag) override {
     log.emplace_back(kernel.now(), tag);
@@ -81,14 +84,14 @@ TEST(Kernel, RunEventsBounded) {
 TEST(Kernel, ZeroDelaySelfScheduleRunsAfterPeers) {
   // A process that schedules a zero-delay event must not starve peers at the
   // same timestamp that were scheduled earlier.
-  class Chainer final : public sim::Process {
+  class Chainer final : public reference::Process {
    public:
     explicit Chainer(std::vector<int>& order) : order_(order) {}
     void fire(Kernel& kernel, std::uint32_t tag) override {
       order_.push_back(static_cast<int>(tag));
       if (tag == 0) kernel.schedule_in(0_fs, self, 99);
     }
-    sim::NodeId self = sim::invalid_node;
+    reference::NodeId self = reference::invalid_node;
 
    private:
     std::vector<int>& order_;

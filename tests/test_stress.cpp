@@ -18,7 +18,6 @@
 #include "ring/iro.hpp"
 #include "noise/jitter.hpp"
 #include "ring/str.hpp"
-#include "sim/kernel.hpp"
 
 using namespace ringent;
 using namespace ringent::literals;
@@ -40,19 +39,18 @@ std::vector<std::unique_ptr<noise::NoiseSource>> gaussian_noise(
 TEST(Stress, StrSurvivesNoiseComparableToTheStageDelay) {
   // sigma = 100 ps against a 260 ps static delay: the causality floor in the
   // Charlie model must keep the ring live and token-conserving.
-  sim::Kernel kernel;
   ring::StrConfig config;
   config.stages = 16;
   config.charlie = ring::CharlieParams::symmetric(260_ps, 123_ps);
-  ring::Str str(kernel, config,
+  ring::Str str(config,
                 ring::make_initial_state(16, 8,
                                          ring::TokenPlacement::evenly_spread),
                 gaussian_noise(16, 100.0, 41));
   str.start();
   for (int chunk = 0; chunk < 40; ++chunk) {
-    kernel.run_until(kernel.now() + Time::from_ns(100.0));
+    str.run_until(str.now() + Time::from_ns(100.0));
     ASSERT_EQ(ring::token_count(str.state()), 8u);
-    ASSERT_FALSE(kernel.idle());
+    ASSERT_FALSE(str.idle());
   }
   // Output edges must be strictly monotone despite the huge noise.
   const auto edges = str.output().rising_edges();
@@ -68,44 +66,36 @@ TEST(Stress, MinimalAndTokenSaturatedRings) {
   for (auto [stages, tokens] : {std::pair<std::size_t, std::size_t>{3, 2},
                                 {9, 8},
                                 {97, 96}}) {
-    sim::Kernel kernel;
     ring::StrConfig config;
     config.stages = stages;
     config.charlie = ring::CharlieParams::symmetric(260_ps, 123_ps);
-    ring::Str str(kernel, config,
+    ring::Str str(config,
                   ring::make_initial_state(stages, tokens,
                                            ring::TokenPlacement::clustered),
                   {});
     str.start();
-    kernel.run_until(Time::from_us(1.0));
-    EXPECT_GT(str.firings(), 100u) << stages << "/" << tokens;
+    str.run_until(Time::from_us(1.0));
+    EXPECT_GT(str.events_fired(), 100u) << stages << "/" << tokens;
     EXPECT_EQ(ring::token_count(str.state()), tokens);
   }
 }
 
 TEST(Stress, KernelHandlesManyProcessesAndDeepQueues) {
-  class Hopper final : public sim::Process {
-   public:
-    void fire(sim::Kernel& kernel, std::uint32_t tag) override {
-      ++fired;
-      kernel.schedule_in(Time::from_fs(1 + tag % 97), self, tag + 1);
-    }
-    sim::NodeId self = sim::invalid_node;
-    std::uint64_t fired = 0;
-  };
-  sim::Kernel kernel;
-  std::vector<std::unique_ptr<Hopper>> hoppers;
-  for (int i = 0; i < 500; ++i) {
-    hoppers.push_back(std::make_unique<Hopper>());
-    hoppers.back()->self = kernel.add_process(hoppers.back().get());
-    kernel.schedule_in(Time::from_fs(i + 1), hoppers.back()->self,
-                       static_cast<std::uint32_t>(i));
-  }
-  kernel.run_events(300000);
-  EXPECT_EQ(kernel.events_fired(), 300000u);
-  std::uint64_t total = 0;
-  for (const auto& h : hoppers) total += h->fired;
-  EXPECT_EQ(total, 300000u);
+  // A 512-stage STR with 256 evenly spread tokens keeps up to 256 firings
+  // pending in its event heap at once: every one must fire, in order, with
+  // the token count conserved.
+  ring::StrConfig config;
+  config.stages = 512;
+  config.charlie = ring::CharlieParams::symmetric(260_ps, 120_ps);
+  ring::Str str(config,
+                ring::make_initial_state(512, 256,
+                                         ring::TokenPlacement::evenly_spread),
+                gaussian_noise(512, 2.0, 500));
+  str.start();
+  EXPECT_EQ(str.run_events(300000), 300000u);
+  EXPECT_EQ(str.events_fired(), 300000u);
+  EXPECT_EQ(ring::token_count(str.state()), 256u);
+  EXPECT_FALSE(str.idle());
 }
 
 TEST(Stress, OscillatorAtTheVoltageExtremes) {
@@ -151,19 +141,18 @@ TEST(Stress, HugeMismatchStillOscillates) {
   // 30% per-stage spread: way beyond any real process, the ring must still
   // run and conserve tokens (the Charlie curve absorbs the asymmetry).
   Xoshiro256 rng(77);
-  sim::Kernel kernel;
   ring::StrConfig config;
   config.stages = 24;
   config.charlie = ring::CharlieParams::symmetric(260_ps, 123_ps);
   config.stage_factors.resize(24);
   for (auto& f : config.stage_factors) f = rng.uniform(0.7, 1.3);
-  ring::Str str(kernel, config,
+  ring::Str str(config,
                 ring::make_initial_state(24, 12,
                                          ring::TokenPlacement::evenly_spread),
                 {});
   str.start();
-  kernel.run_until(Time::from_us(5.0));
-  EXPECT_GT(str.firings(), 10000u);
+  str.run_until(Time::from_us(5.0));
+  EXPECT_GT(str.events_fired(), 10000u);
   EXPECT_EQ(ring::token_count(str.state()), 12u);
   // Still periodic: the period spread of the last 100 cycles is tiny.
   auto periods = analysis::periods_ps(str.output());
@@ -173,17 +162,16 @@ TEST(Stress, HugeMismatchStillOscillates) {
 }
 
 TEST(Stress, ZeroCharlieMagnitudeIsStillCausal) {
-  sim::Kernel kernel;
   ring::StrConfig config;
   config.stages = 12;
   config.charlie = ring::CharlieParams::symmetric(260_ps, 0_ps);
-  ring::Str str(kernel, config,
+  ring::Str str(config,
                 ring::make_initial_state(12, 4,
                                          ring::TokenPlacement::clustered),
                 gaussian_noise(12, 5.0, 9));
   str.start();
-  kernel.run_until(Time::from_us(2.0));
-  EXPECT_GT(str.firings(), 1000u);
+  str.run_until(Time::from_us(2.0));
+  EXPECT_GT(str.events_fired(), 1000u);
 }
 
 TEST(Stress, PerStageRoutingPreservesFrequencyAtModerateAsymmetry) {
@@ -207,13 +195,12 @@ TEST(Stress, PerStageRoutingPreservesFrequencyAtModerateAsymmetry) {
 }
 
 TEST(Stress, PerStageRoutingVectorValidation) {
-  sim::Kernel kernel;
   ring::StrConfig config;
   config.stages = 8;
   config.charlie = ring::CharlieParams::symmetric(260_ps, 123_ps);
   config.routing_per_stage = {10_ps, 10_ps};  // wrong size
   EXPECT_THROW(
-      ring::Str(kernel, config,
+      ring::Str(config,
                 ring::make_initial_state(8, 4,
                                          ring::TokenPlacement::clustered),
                 {}),
@@ -223,18 +210,17 @@ TEST(Stress, PerStageRoutingVectorValidation) {
   iro_config.stages = 4;
   iro_config.lut_delay = 100_ps;
   iro_config.routing_per_stage = {10_ps, 10_ps, -1_ps, 10_ps};
-  EXPECT_THROW(ring::Iro(kernel, iro_config, {}), PreconditionError);
+  EXPECT_THROW(ring::Iro(iro_config, {}), PreconditionError);
 }
 
 TEST(Stress, PerStageRoutingIroPeriodIsExact) {
-  sim::Kernel kernel;
   ring::IroConfig config;
   config.stages = 4;
   config.lut_delay = 100_ps;
   config.routing_per_stage = {5_ps, 10_ps, 15_ps, 30_ps};
-  ring::Iro iro(kernel, config, {});
+  ring::Iro iro(config, {});
   iro.start();
-  kernel.run_until(Time::from_ns(20.0));
+  iro.run_until(Time::from_ns(20.0));
   const auto periods = analysis::periods_ps(iro.output());
   ASSERT_FALSE(periods.empty());
   EXPECT_NEAR(periods.back(), 2.0 * (400.0 + 60.0), 1e-6);

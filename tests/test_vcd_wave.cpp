@@ -7,7 +7,6 @@
 #include "common/require.hpp"
 #include "ring/str.hpp"
 #include "sim/ascii_wave.hpp"
-#include "sim/kernel.hpp"
 #include "sim/probe.hpp"
 #include "sim/vcd.hpp"
 #include "sim/vcd_read.hpp"
@@ -59,16 +58,15 @@ TEST(VcdRoundTrip, WriterOutputParsesBackExactly) {
 }
 
 TEST(VcdRoundTrip, RingWaveformRoundTrips) {
-  sim::Kernel kernel;
   ring::StrConfig config;
   config.stages = 8;
   config.charlie = ring::CharlieParams::symmetric(260_ps, 123_ps);
   config.trace_all_stages = true;
-  ring::Str str(kernel, config,
+  ring::Str str(config,
                 ring::make_initial_state(8, 4, ring::TokenPlacement::clustered),
                 {});
   str.start();
-  kernel.run_until(Time::from_ns(40.0));
+  str.run_until(Time::from_ns(40.0));
 
   sim::VcdWriter writer("ring");
   for (const auto& trace : str.stage_traces()) writer.add_signal(trace);
@@ -81,7 +79,7 @@ TEST(VcdRoundTrip, RingWaveformRoundTrips) {
   for (const auto& sig : doc.signals) {
     total += sig.trace.transitions().size();
   }
-  EXPECT_EQ(total, str.firings());
+  EXPECT_EQ(total, str.events_fired());
 }
 
 TEST(VcdReader, ParsesForeignTimescalesAndSkipsMetadata) {
