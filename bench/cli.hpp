@@ -1,17 +1,20 @@
 // Shared command-line handling for the sweep bench binaries.
 //
-// Every sweep bench accepts the same three observability knobs:
+// Every sweep bench accepts the same knobs:
 //
 //   --jobs N | --jobs=N      worker threads (0/absent = RINGENT_JOBS or cores)
-//   --metrics                enable kernel counters + run manifests
-//                            (equivalent to RINGENT_METRICS=1)
-//   --trace FILE|--trace=FILE  write a Chrome-trace JSON of driver/axis/pool
-//                            spans to FILE (equivalent to RINGENT_TRACE=FILE)
-//   --telemetry FILE|--telemetry=FILE  stream "ringent.telemetry/1" snapshots
-//                            to FILE — JSONL per driver run plus one
+//   --observe SPEC | --observe=SPEC
+//                            what the run observes: a comma-separated list of
+//                            `metrics` (counters, phase timers and one run
+//                            manifest per driver, written to RINGENT_OUT_DIR
+//                            when it is set), `trace=FILE` (a Chrome-trace
+//                            JSON of driver/axis/pool spans) and
+//                            `telemetry=FILE` ("ringent.telemetry/1"
+//                            snapshots — JSONL per driver run plus one
 //                            "<bench>-total" line at exit; a .prom suffix
-//                            selects the Prometheus text format instead
-//                            (equivalent to RINGENT_TELEMETRY=FILE)
+//                            selects the Prometheus text format instead).
+//                            The grammar is sim::parse_observe's, shared with
+//                            ringent_cli.
 //   --list                   print the experiment registry (the same
 //                            listing `ringent_cli --list` gives) and exit 0
 //
@@ -21,11 +24,10 @@
 //   const bench::Session session(cli, "fig08_voltage_sweep");
 //   options.jobs = cli.jobs;
 //
-// Session is RAII: it applies the flags (falling back to the environment
-// variables when a flag is absent), opens a whole-binary "bench" trace span,
-// and on destruction closes the span and flushes the trace file — so the
-// trace is written even though benches return from main() normally rather
-// than calling exit handlers in a guaranteed order.
+// Session is RAII: it opens the observation scope the whole binary runs
+// under (sim/observe.hpp) with a whole-binary "bench" trace span, and on
+// destruction closes the span, appends the "<bench>-total" telemetry line —
+// the sum of every driver run under the scope — and flushes the trace file.
 #pragma once
 
 #include <cstdio>
@@ -34,21 +36,19 @@
 #include <exception>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "core/export.hpp"
 #include "core/registry.hpp"
-#include "sim/metrics.hpp"
+#include "sim/observe.hpp"
 #include "sim/parallel.hpp"
-#include "sim/telemetry.hpp"
 #include "sim/trace.hpp"
 
 namespace ringent::bench {
 
 struct CliOptions {
-  std::size_t jobs = 0;        ///< 0 = resolve via RINGENT_JOBS / hardware
-  bool metrics = false;        ///< --metrics given
-  std::string trace_path;      ///< empty = no --trace flag
-  std::string telemetry_path;  ///< empty = no --telemetry flag
+  std::size_t jobs = 0;      ///< 0 = resolve via RINGENT_JOBS / hardware
+  sim::ObserveSpec observe;  ///< --observe value; empty = observe nothing
 };
 
 /// Print the experiment registry — one line per registered driver — to
@@ -64,10 +64,11 @@ inline void print_experiment_list(std::FILE* out) {
 /// ignored — the benches historically tolerate them — but anything that
 /// *looks* like a flag and isn't recognized, and a recognized flag with an
 /// unusable value — `--jobs banana`, `--jobs=99999999999999999999`, a
-/// trailing `--trace` with no path — is reported on `diagnostics` (stderr
-/// by default, nullptr = silent) rather than silently dropped, and the
-/// option falls back to its default. `--list` prints the experiment
-/// registry to stdout and exits 0, like `--help` in a conventional CLI.
+/// trailing `--observe` with nothing after it, an unknown `--observe` item
+/// — is reported on `diagnostics` (stderr by default, nullptr = silent)
+/// rather than silently dropped, and the option (or the item) falls back to
+/// its default. `--list` prints the experiment registry to stdout and exits
+/// 0, like `--help` in a conventional CLI.
 inline CliOptions parse_cli(int argc, char** argv,
                             std::FILE* diagnostics = stderr) {
   CliOptions options;
@@ -79,11 +80,16 @@ inline CliOptions parse_cli(int argc, char** argv,
       std::fprintf(diagnostics, "# cli: %s\n", message);
     }
   };
+  const auto observe = [&](const char* text) {
+    std::vector<std::string> errors;
+    options.observe = sim::parse_observe(text, &errors);
+    for (const auto& error : errors) {
+      warn(("ignoring --observe item: " + error).c_str(), nullptr);
+    }
+  };
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
-    if (std::strcmp(arg, "--metrics") == 0) {
-      options.metrics = true;
-    } else if (std::strcmp(arg, "--jobs") == 0) {
+    if (std::strcmp(arg, "--jobs") == 0) {
       if (i + 1 >= argc) {
         warn("--jobs requires a count; flag ignored", nullptr);
       } else if (!sim::parse_jobs_value(argv[++i], options.jobs)) {
@@ -97,120 +103,84 @@ inline CliOptions parse_cli(int argc, char** argv,
              "integer)",
              arg + 7);
       }
-    } else if (std::strcmp(arg, "--trace") == 0) {
+    } else if (std::strcmp(arg, "--observe") == 0) {
       if (i + 1 >= argc) {
-        warn("--trace requires a file path; flag ignored", nullptr);
+        warn("--observe requires a value; flag ignored", nullptr);
       } else {
-        options.trace_path = argv[++i];
+        observe(argv[++i]);
       }
-    } else if (std::strncmp(arg, "--trace=", 8) == 0) {
-      if (arg[8] == '\0') {
-        warn("--trace= requires a file path; flag ignored", nullptr);
+    } else if (std::strncmp(arg, "--observe=", 10) == 0) {
+      if (arg[10] == '\0') {
+        warn("--observe= requires a value; flag ignored", nullptr);
       } else {
-        options.trace_path = arg + 8;
-      }
-    } else if (std::strcmp(arg, "--telemetry") == 0) {
-      if (i + 1 >= argc) {
-        warn("--telemetry requires a file path; flag ignored", nullptr);
-      } else {
-        options.telemetry_path = argv[++i];
-      }
-    } else if (std::strncmp(arg, "--telemetry=", 12) == 0) {
-      if (arg[12] == '\0') {
-        warn("--telemetry= requires a file path; flag ignored", nullptr);
-      } else {
-        options.telemetry_path = arg + 12;
+        observe(arg + 10);
       }
     } else if (std::strcmp(arg, "--list") == 0) {
       print_experiment_list(stdout);
       std::exit(0);
     } else if (std::strncmp(arg, "--", 2) == 0) {
-      warn("unknown flag ignored (supported: --jobs, --metrics, --trace, "
-           "--telemetry, --list)",
+      warn("unknown flag ignored (supported: --jobs, --observe, --list)",
            arg);
     }
   }
   return options;
 }
 
-/// Applies the observability flags for the lifetime of a bench run.
+/// The observation scope a whole bench run lives in.
 class Session {
  public:
-  Session(const CliOptions& options, std::string name) : name_(name) {
-    if (options.metrics) {
-      sim::metrics::set_enabled(true);
-    } else {
-      sim::metrics::init_from_env();
-    }
-    if (!options.trace_path.empty()) {
-      if (!sim::trace::enabled()) {
-        sim::trace::start(options.trace_path);
-        owns_trace_ = true;
-      }
-    } else {
-      sim::trace::init_from_env();
-    }
-    if (!options.telemetry_path.empty()) {
-      core::set_telemetry_path(options.telemetry_path);
-    } else {
-      core::init_telemetry_from_env();
-    }
-    if (core::telemetry_active()) {
-      telemetry_before_ = sim::telemetry::snapshot();
-      wall_start_ = sim::metrics::wall_seconds();
-    }
-    if (sim::trace::enabled()) span_.emplace(std::move(name), "bench");
-  }
+  Session(const CliOptions& options, std::string name)
+      : name_(std::move(name)),
+        scope_(sim::Collect::from(options.observe), nullptr),
+        span_(std::in_place, name_, "bench"),
+        wall_start_(sim::metrics::wall_seconds()) {}
 
   Session(const Session&) = delete;
   Session& operator=(const Session&) = delete;
 
   ~Session() {
     span_.reset();  // close the bench span before serializing
-    if (owns_trace_) sim::trace::stop();
-    if (core::telemetry_active()) {
-      // One whole-binary summary line after the per-driver snapshots, so a
-      // sink file always ends with the run's total distribution.
-      try {
-        core::append_telemetry_snapshot(core::collect_telemetry(
-            name_ + "-total",
-            sim::telemetry::snapshot().delta_since(telemetry_before_),
-            (sim::metrics::wall_seconds() - wall_start_) * 1e3));
-      } catch (const std::exception& error) {
-        std::fprintf(stderr, "# cli: dropping bench telemetry snapshot: %s\n",
-                     error.what());
+    try {
+      if (const auto& sink = scope_.collects().telemetry) {
+        // One whole-binary summary line after the per-driver snapshots, so
+        // a sink file always ends with the run's total distribution.
+        core::append_telemetry_snapshot(
+            *sink, core::TelemetrySnapshot::of(
+                       name_ + "-total", scope_,
+                       (sim::metrics::wall_seconds() - wall_start_) * 1e3));
       }
+      if (const auto& trace = scope_.collects().trace) trace->close();
+    } catch (const std::exception& error) {
+      std::fprintf(stderr, "# cli: dropping bench observability: %s\n",
+                   error.what());
     }
   }
 
  private:
   std::string name_;
-  bool owns_trace_ = false;
+  sim::Scope scope_;
   std::optional<sim::trace::Span> span_;
-  sim::telemetry::Snapshot telemetry_before_;
   double wall_start_ = 0.0;
 };
-
-/// Directory where run manifests land (RINGENT_OUT_DIR or the cwd).
-inline const char* manifest_dir_hint() {
-  const char* dir = std::getenv("RINGENT_OUT_DIR");
-  return (dir != nullptr && dir[0] != '\0') ? dir : ".";
-}
 
 /// The standard bench banner line for the resolved observability state.
 inline void print_banner(const CliOptions& options) {
   std::printf("# jobs: %zu (override with --jobs N or RINGENT_JOBS)\n",
               sim::resolve_jobs(options.jobs));
-  if (sim::metrics::enabled()) {
-    std::printf("# metrics: on (run manifests in %s)\n", manifest_dir_hint());
+  const sim::ObserveSpec& observe = options.observe;
+  if (observe.metrics) {
+    const auto dir = core::artifact_dir();
+    std::printf("# metrics: on (run manifests %s%s)\n",
+                dir ? "in " : "kept only with RINGENT_OUT_DIR",
+                dir ? dir->c_str() : "");
   }
-  if (sim::trace::enabled()) {
+  if (!observe.trace.empty()) {
     std::printf("# trace: %s (open in chrome://tracing or Perfetto)\n",
-                sim::trace::current_path().c_str());
+                observe.trace.c_str());
   }
-  if (core::telemetry_active()) {
+  if (!observe.telemetry.empty()) {
     std::printf("# telemetry: %s (ringent.telemetry/1 snapshots)\n",
-                core::telemetry_path().c_str());
+                observe.telemetry.c_str());
   }
 }
 

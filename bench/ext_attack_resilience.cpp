@@ -72,6 +72,6 @@ int main(int argc, char** argv) {
       "failed (with a failover to the backup ring on the way); stuck-stage\n"
       "is topology-agnostic — physical damage beats topology. Muted bits\n"
       "never reach the consumer; every transition is also counted in the\n"
-      "run manifest (--metrics).\n");
+      "run manifest (--observe metrics).\n");
   return 0;
 }

@@ -14,9 +14,8 @@
 #include "noise/jitter.hpp"
 #include "ring/charlie.hpp"
 #include "sim/event_queue.hpp"
-#include "sim/metrics.hpp"
+#include "sim/observe.hpp"
 #include "sim/parallel.hpp"
-#include "sim/telemetry.hpp"
 
 using namespace ringent;
 using namespace ringent::literals;
@@ -93,27 +92,23 @@ void BM_StrSimulationSupply(benchmark::State& state) {
 }
 BENCHMARK(BM_StrSimulationSupply)->Arg(5);
 
-/// BM_IroSimulation/5 with metrics collection live: the ring counts in
-/// plain members and publishes once per run call, so the delta against
-/// BM_IroSimulation/5 is the whole price of the counters on the hottest
-/// path and should sit within noise.
+/// BM_IroSimulation/5 under an observation scope that collects metrics:
+/// the ring counts in plain members and publishes once per run call, so the
+/// delta against BM_IroSimulation/5 (no scope at all) is the whole price of
+/// the counters on the hottest path and should sit within noise.
 void BM_IroSimulationMetrics(benchmark::State& state) {
-  sim::metrics::set_enabled(true);
+  const sim::Scope scope(sim::Collect{.metrics = true}, nullptr);
   ring_simulation(state, core::RingKind::iro);
-  sim::metrics::set_enabled(false);
-  sim::metrics::reset();
 }
 BENCHMARK(BM_IroSimulationMetrics)->Arg(5);
 
-/// BM_IroSimulation/5 with telemetry histograms live: the delta prices the
-/// distribution layer per event (a log-linear bucket_index plus relaxed
-/// adds for the event-gap and queue-depth histograms). With collection off
-/// each probe is one predicted-not-taken branch.
+/// BM_IroSimulation/5 under a scope that collects histograms: the delta
+/// prices the distribution layer per event (a log-linear bucket_index plus
+/// two adds for each of the event-gap and queue-depth histograms). With no
+/// scope each probe is one thread-local load and a predicted branch.
 void BM_IroSimulationTelemetry(benchmark::State& state) {
-  sim::telemetry::set_enabled(true);
+  const sim::Scope scope(sim::Collect{.histograms = true}, nullptr);
   ring_simulation(state, core::RingKind::iro);
-  sim::telemetry::set_enabled(false);
-  sim::telemetry::reset();
 }
 BENCHMARK(BM_IroSimulationTelemetry)->Arg(5);
 
@@ -166,12 +161,12 @@ BENCHMARK(BM_ParallelSweep)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
-/// BM_ParallelSweep with full metrics collection (counters live on every
-/// worker + a run manifest written per iteration). Compare against
-/// BM_ParallelSweep at the same arg to price the enabled observability
-/// layer on a real driver.
+/// BM_ParallelSweep under a scope that collects metrics (a child scope per
+/// pool task, a run manifest built per iteration and written when
+/// RINGENT_OUT_DIR is set). Compare against BM_ParallelSweep at the same
+/// arg to price the enabled observability layer on a real driver.
 void BM_ParallelSweepMetrics(benchmark::State& state) {
-  sim::metrics::set_enabled(true);
+  const sim::Scope scope(sim::Collect{.metrics = true}, nullptr);
   const auto& cal = core::cyclone_iii();
   const std::vector<std::size_t> stages = {3, 5, 9, 15, 25, 40, 60, 80};
   core::ExperimentOptions options;
@@ -184,8 +179,6 @@ void BM_ParallelSweepMetrics(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(stages.size()));
-  sim::metrics::set_enabled(false);
-  sim::metrics::reset();
 }
 BENCHMARK(BM_ParallelSweepMetrics)
     ->Arg(1)
@@ -193,12 +186,12 @@ BENCHMARK(BM_ParallelSweepMetrics)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
-/// BM_ParallelSweep with telemetry histograms live (event gaps, queue
-/// depths, Charlie delays and pool-task durations recorded on every
-/// worker). Compare against BM_ParallelSweep at the same arg to price the
-/// enabled distribution layer on a real driver.
+/// BM_ParallelSweep under a scope that collects histograms (event gaps,
+/// queue depths, Charlie delays and pool-task durations recorded in each
+/// task's child scope). Compare against BM_ParallelSweep at the same arg to
+/// price the enabled distribution layer on a real driver.
 void BM_ParallelSweepTelemetry(benchmark::State& state) {
-  sim::telemetry::set_enabled(true);
+  const sim::Scope scope(sim::Collect{.histograms = true}, nullptr);
   const auto& cal = core::cyclone_iii();
   const std::vector<std::size_t> stages = {3, 5, 9, 15, 25, 40, 60, 80};
   core::ExperimentOptions options;
@@ -211,8 +204,6 @@ void BM_ParallelSweepTelemetry(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(stages.size()));
-  sim::telemetry::set_enabled(false);
-  sim::telemetry::reset();
 }
 BENCHMARK(BM_ParallelSweepTelemetry)
     ->Arg(1)

@@ -14,7 +14,7 @@
 // numbers are meant to be (re)generated and read.
 //
 // --telemetry <file> additionally folds the newest "ringent.telemetry/1"
-// snapshot from that JSONL sink (as written by --telemetry/RINGENT_TELEMETRY
+// snapshot from that JSONL sink (as written by `--observe telemetry=FILE`
 // runs) into the recorded entry as quantile summaries, so the committed
 // trajectory can carry distribution shape next to the throughput numbers.
 #include <fstream>

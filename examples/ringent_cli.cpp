@@ -10,21 +10,27 @@
 //   ringent_cli serve-bench [--slots 4] [--max-workers 4] [--conditioner lfsr]
 //   ringent_cli --list                   (enumerate registered experiments)
 //   ringent_cli run <experiment> [--spec FILE] [--seed S] [--jobs N]
-//               [--metrics] [--telemetry FILE]
 //   ringent_cli campaign run <plan.json> [--dir DIR] [--shard i/N]
 //               [--jobs N] [--max-cells N]
 //   ringent_cli campaign status <plan.json> [--dir DIR]
 //   ringent_cli campaign verify <plan.json> [--dir DIR]
 //
+// Every command takes `--observe SPEC`, the observation grammar the bench
+// binaries share (sim::parse_observe): a comma-separated list of `metrics`,
+// `trace=FILE` (Chrome trace of driver/axis/pool spans) and
+// `telemetry=FILE` (one "ringent.telemetry/1" snapshot per driver run; a
+// .prom FILE selects the Prometheus text format). An unusable SPEC is a
+// usage error.
+//
 // `run` dispatches through core::experiment_registry(): it executes the
 // named driver's small default spec — or, with --spec FILE, the JSON spec
 // document in FILE (unknown/missing keys are rejected with the experiment's
 // schema name) — with metrics on and prints the run manifest the driver
-// emitted (also written to RINGENT_OUT_DIR or cwd).
-// --telemetry streams a "ringent.telemetry/1" snapshot of the run to FILE;
-// --metrics additionally prints the full counter/phase/histogram breakdown
-// as a human-readable table on stderr (stdout keeps the stable manifest
-// summary, so scripts scraping it are unaffected).
+// built (also written to RINGENT_OUT_DIR when that is set). With
+// `--observe metrics` it additionally prints the full
+// counter/phase/histogram breakdown as a human-readable table on stderr
+// (stdout keeps the stable manifest summary, so scripts scraping it are
+// unaffected).
 //
 // `campaign run` expands the plan into content-addressed cells and executes
 // only the ones the store (DIR, default <plan-stem>.campaign) has no valid
@@ -61,6 +67,7 @@
 #include "core/registry.hpp"
 #include "core/report.hpp"
 #include "sim/metrics.hpp"
+#include "sim/observe.hpp"
 #include "measure/frequency.hpp"
 #include "ring/analytic.hpp"
 #include "ring/mode.hpp"
@@ -415,7 +422,7 @@ int cmd_list() {
   return 0;
 }
 
-/// The --metrics table: every non-zero counter, every phase timer and every
+/// The `--observe metrics` table: every non-zero counter, every phase timer and every
 /// histogram summary of the run, on `out` (stderr — stdout keeps the stable
 /// manifest summary).
 void print_metrics_table(const RunManifest& manifest, std::FILE* out) {
@@ -467,9 +474,6 @@ int cmd_run(const Args& args) {
   options.seed = static_cast<std::uint64_t>(args.integer("seed", 20120312));
   options.jobs = static_cast<std::size_t>(args.integer("jobs", 0));
 
-  const std::string telemetry = args.text("telemetry", "");
-  if (!telemetry.empty()) core::set_telemetry_path(telemetry);
-
   const std::string spec_path = args.text("spec", "");
   RunManifest manifest;
   if (spec_path.empty()) {
@@ -508,12 +512,15 @@ int cmd_run(const Args& args) {
                   static_cast<unsigned long long>(value));
     }
   }
-  std::printf("  manifest: %s.manifest.json (in RINGENT_OUT_DIR or cwd)\n",
-              manifest.experiment.c_str());
-  if (!telemetry.empty()) {
-    std::printf("  telemetry: %s\n", telemetry.c_str());
+  const auto dir = artifact_dir();
+  std::printf("  manifest: %s\n",
+              dir ? (*dir + "/" + manifest.experiment + ".manifest.json").c_str()
+                  : "not written (set RINGENT_OUT_DIR to keep it)");
+  const sim::Scope& scope = *sim::Scope::current();
+  if (const auto& sink = scope.collects().telemetry) {
+    std::printf("  telemetry: %s\n", sink->path.c_str());
   }
-  if (args.flag("metrics")) print_metrics_table(manifest, stderr);
+  if (scope.collects().metrics) print_metrics_table(manifest, stderr);
   return 0;
 }
 
@@ -679,12 +686,12 @@ int usage() {
       "lfsr|hash]\n"
       "              [--ratio N] [--max-workers N] [--real-rings] [--seed S]\n"
       "  --list | list                (registered experiments)\n"
-      "  run <experiment> [--spec FILE] [--seed S] [--jobs N] [--metrics]\n"
-      "      [--telemetry FILE]\n"
+      "  run <experiment> [--spec FILE] [--seed S] [--jobs N]\n"
       "  campaign run <plan.json> [--dir DIR] [--shard i/N] [--jobs N]\n"
       "               [--max-cells N]\n"
       "  campaign status <plan.json> [--dir DIR]\n"
-      "  campaign verify <plan.json> [--dir DIR]\n");
+      "  campaign verify <plan.json> [--dir DIR]\n"
+      "every command: [--observe metrics,trace=FILE,telemetry=FILE]\n");
   return 2;
 }
 
@@ -694,7 +701,19 @@ int main(int argc, char** argv) {
   if (argc < 2) return usage();
   const std::string command = argv[1];
   const Args args(argc, argv, 2);
+  std::vector<std::string> errors;
+  const sim::ObserveSpec observe =
+      sim::parse_observe(args.text("observe", ""), &errors);
+  if (args.flag("observe") && args.text("observe", "").empty()) {
+    errors.push_back("--observe needs a value");
+  }
+  for (const auto& error : errors) {
+    std::fprintf(stderr, "error: --observe: %s\n", error.c_str());
+  }
+  if (!errors.empty()) return 2;
   try {
+    // Everything the command runs is observed by this one scope.
+    const sim::Scope scope(sim::Collect::from(observe), nullptr);
     if (command == "characterize" && args.positional().size() >= 2)
       return cmd_characterize(args);
     if (command == "sweep-voltage" && args.positional().size() >= 2)

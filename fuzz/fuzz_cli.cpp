@@ -1,19 +1,50 @@
-// libFuzzer harness for the shared bench CLI surface: bench::parse_cli plus
-// sim::parse_jobs_arg / sim::resolve_jobs.
+// libFuzzer harness for the shared front-end CLI surface: bench::parse_cli,
+// sim::parse_jobs_arg / sim::resolve_jobs, and the --observe grammar
+// (sim::parse_observe / sim::to_string).
 //
 // The input is split on newlines/NULs into an argv vector (argv[0] fixed).
 // Contract enforced on every input:
 //  * flag parsing never throws and never crashes, whatever the tokens;
 //  * whatever --jobs text an attacker supplies, the *resolved* worker count
 //    always lands in [1, max_jobs()] — the bug class where
-//    "--jobs=99999999999999999999" asked ThreadPool for ~2^64 threads.
+//    "--jobs=99999999999999999999" asked ThreadPool for ~2^64 threads;
+//  * every token, read as an --observe value, parses without throwing;
+//    an item is either kept or reported (a value with no reported problem
+//    prints back with as many items as it had), and
+//    parse(print(parse(x))) == parse(x).
 #include <cstdint>
 #include <cstdlib>
 #include <string>
 #include <vector>
 
 #include "cli.hpp"
+#include "sim/observe.hpp"
 #include "sim/parallel.hpp"
+
+namespace {
+
+std::size_t items(const std::string& text) {
+  if (text.empty()) return 0;
+  std::size_t n = 1;
+  for (const char c : text) n += c == ',' ? 1 : 0;
+  return n;
+}
+
+void check_observe(const std::string& text) {
+  using ringent::sim::ObserveSpec;
+  std::vector<std::string> errors;
+  const ObserveSpec spec = ringent::sim::parse_observe(text, &errors);
+  const std::string printed = ringent::sim::to_string(spec);
+  if (errors.empty() && items(printed) != items(text)) std::abort();
+  std::vector<std::string> reparse_errors;
+  if (ringent::sim::parse_observe(printed, &reparse_errors) != spec) {
+    std::abort();
+  }
+  if (!reparse_errors.empty()) std::abort();
+  if (ringent::sim::parse_observe(text) != spec) std::abort();
+}
+
+}  // namespace
 
 extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
                                       std::size_t size) {
@@ -37,6 +68,7 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
   argv.reserve(tokens.size());
   for (auto& token : tokens) argv.push_back(token.data());
   const int argc = static_cast<int>(argv.size());
+  for (const auto& token : tokens) check_observe(token);
 
   const ringent::bench::CliOptions options =
       ringent::bench::parse_cli(argc, argv.data(), /*diagnostics=*/nullptr);

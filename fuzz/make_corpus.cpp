@@ -158,9 +158,11 @@ int main(int argc, char** argv) {
 
   // --- cli: newline-separated argv tokens ----------------------------------
   write_file(root + "/corpus/cli/all_flags",
-             "--jobs\n4\n--metrics\n--trace\nout.trace.json\n");
+             "--jobs\n4\n--observe\n"
+             "metrics,trace=out.trace.json,telemetry=out.jsonl\n");
   write_file(root + "/corpus/cli/equals_forms",
-             "--jobs=8\n--trace=spans.json\nstray\n--metrics\n");
+             "--jobs=8\n--observe=trace=spans.json,metrics\nstray\n"
+             "--observe=telemetry=scrape.prom\n");
 
   // --- manifest: valid documents for the reader path -----------------------
   write_file(root + "/corpus/manifest/pretty", manifest_pretty);

@@ -506,19 +506,26 @@ BitStream RestartMatrix::column_stream() const {
 
 namespace {
 
+/// log Γ(x) without std::lgamma's write to the global `signgam`, which
+/// races when restart matrices are validated on several pool workers.
+double log_gamma(double x) {
+  int sign = 0;
+  return ::lgamma_r(x, &sign);
+}
+
 /// Smallest u with P[Bin(n, p) >= u] <= alpha (exact tail via log-gamma).
 std::size_t binomial_cutoff(std::size_t n, double p, double alpha) {
   if (p >= 1.0) return n + 1;
   if (p <= 0.0) return 1;
   const double log_p = std::log(p);
   const double log_q = std::log1p(-p);
-  const double lg_n = std::lgamma(static_cast<double>(n) + 1.0);
+  const double lg_n = log_gamma(static_cast<double>(n) + 1.0);
   double tail = 0.0;
   std::vector<double> tails(n + 2, 0.0);
   for (std::size_t j = n + 1; j-- > 0;) {
     const double jd = static_cast<double>(j);
-    const double log_pmf = lg_n - std::lgamma(jd + 1.0) -
-                           std::lgamma(static_cast<double>(n - j) + 1.0) +
+    const double log_pmf = lg_n - log_gamma(jd + 1.0) -
+                           log_gamma(static_cast<double>(n - j) + 1.0) +
                            jd * log_p + static_cast<double>(n - j) * log_q;
     tail += std::exp(log_pmf);
     tails[j] = tail;

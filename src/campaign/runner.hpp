@@ -4,14 +4,15 @@
 // Execution discipline:
 //  * The cache-validation scan (does each cell's key have a valid record?)
 //    is embarrassingly parallel file I/O and fans out via sim::ThreadPool.
-//  * Cell EXECUTION is sequential within a process: run manifests are
-//    captured from a process-global metrics snapshot (core/experiments.cpp
-//    DriverScope), so two drivers running concurrently in one process would
-//    corrupt each other's counter deltas. Each cell still parallelizes
-//    internally over options.jobs, and whole-campaign scale-out is
-//    multi-process: `--shard i/N` assigns cell c to the process with
-//    c % N == i, cells are written under content keys (no cross-shard
-//    conflicts), and every shard rewrites the index it can prove.
+//  * Cell EXECUTION is sequential within a process, by choice: each cell
+//    already parallelizes internally over options.jobs, and the progress
+//    sink reports cells in plan order. Manifests would not force it — every
+//    run_spec observes only its own run (sim/observe.hpp), so concurrent
+//    cells are a scheduling change, not a correctness one. Whole-campaign
+//    scale-out is multi-process: `--shard i/N` assigns cell c to the
+//    process with c % N == i, cells are written under content keys (no
+//    cross-shard conflicts), and every shard rewrites the index it can
+//    prove.
 //  * Resume is implicit: a killed run leaves complete cell files (writes
 //    are atomic) plus at most one torn file; the next run's scan treats
 //    torn as missing, re-executes exactly the unproven cells and rewrites

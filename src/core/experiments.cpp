@@ -17,6 +17,7 @@
 #include "measure/frequency.hpp"
 #include "measure/method.hpp"
 #include "sim/metrics.hpp"
+#include "sim/observe.hpp"
 #include "sim/parallel.hpp"
 #include "sim/trace.hpp"
 #include "trng/coherent.hpp"
@@ -44,28 +45,25 @@ RingSpec spec_for(RingKind kind, std::size_t stages) {
   return kind == RingKind::iro ? RingSpec::iro(stages) : RingSpec::str(stages);
 }
 
-/// Observability bracket around one driver invocation: a "driver" trace span
-/// for the whole call; when metrics collection is on, a run manifest
-/// carrying the counter/phase delta attributable to this run; and when a
-/// telemetry sink is configured, one "ringent.telemetry/1" snapshot with the
-/// histogram delta and any stream observables the driver published. Both are
-/// written from the destructor, i.e. after the result is complete, and the
-/// histogram summaries are embedded in the manifest when both are on.
+/// Observability bracket around one driver invocation: a "driver" trace
+/// span for the whole call and, when a scope is current, a child scope that
+/// collects this run alone. When it closes it builds the run manifest from
+/// that scope if it collects metrics, and appends one "ringent.telemetry/1"
+/// snapshot if it has a telemetry sink (the histogram summaries are then
+/// embedded in the manifest too). Both happen in the destructor, i.e. after
+/// the result is complete.
 class DriverScope {
  public:
   DriverScope(std::string experiment, std::string spec,
               const ExperimentOptions& options, std::size_t tasks)
-      : span_(experiment, "driver"),
-        active_(sim::metrics::enabled()),
-        telemetry_active_(telemetry_active()) {
-    if (!active_ && !telemetry_active_) return;
+      : span_(experiment, "driver"), out_(options.manifest) {
+    if (sim::Scope::current() == nullptr) return;
+    scope_.emplace();
     manifest_.experiment = std::move(experiment);
     manifest_.spec = std::move(spec);
     manifest_.seed = options.seed;
     manifest_.jobs = sim::resolve_jobs(options.jobs);
     manifest_.tasks = tasks;
-    before_ = sim::metrics::snapshot();
-    if (telemetry_active_) telemetry_before_ = sim::telemetry::snapshot();
     wall_start_ = sim::metrics::wall_seconds();
     cpu_start_ = sim::metrics::process_cpu_seconds();
   }
@@ -74,37 +72,41 @@ class DriverScope {
   DriverScope& operator=(const DriverScope&) = delete;
 
   ~DriverScope() {
-    if (!active_ && !telemetry_active_) return;
+    if (!scope_.has_value()) return;
     manifest_.wall_ms = (sim::metrics::wall_seconds() - wall_start_) * 1e3;
     manifest_.cpu_ms =
         (sim::metrics::process_cpu_seconds() - cpu_start_) * 1e3;
-    manifest_.metrics = sim::metrics::snapshot().delta_since(before_);
+    manifest_.metrics = scope_->metrics();
     manifest_.version = std::string(version_string());
+    // A destructor must not throw; a manifest or snapshot that cannot be
+    // written is diagnostic output lost, not a failed experiment.
+    if (const auto& sink = scope_->collects().telemetry) {
+      const TelemetrySnapshot snapshot = TelemetrySnapshot::of(
+          manifest_.experiment, *scope_, manifest_.wall_ms);
+      manifest_.telemetry = snapshot.summaries();
+      report([&] { append_telemetry_snapshot(*sink, snapshot); });
+    }
+    if (scope_->collects().metrics) {
+      if (out_ != nullptr) *out_ = manifest_;
+      report([&] { write_run_manifest(manifest_); });
+    }
+  }
+
+ private:
+  template <typename Write>
+  static void report(Write&& write) {
     try {
-      if (telemetry_active_) {
-        const TelemetrySnapshot snapshot = collect_telemetry(
-            manifest_.experiment,
-            sim::telemetry::snapshot().delta_since(telemetry_before_),
-            manifest_.wall_ms);
-        manifest_.telemetry = snapshot.summaries();
-        append_telemetry_snapshot(snapshot);
-      }
-      if (active_) write_run_manifest(manifest_);
+      write();
     } catch (const std::exception& error) {
-      // A destructor must not throw; a manifest or snapshot that cannot be
-      // written is diagnostic output lost, not a failed experiment.
       std::fprintf(stderr, "ringent: dropping run observability: %s\n",
                    error.what());
     }
   }
 
- private:
   sim::trace::Span span_;
-  bool active_ = false;
-  bool telemetry_active_ = false;
+  RunManifest* out_ = nullptr;
+  std::optional<sim::Scope> scope_;  ///< this run alone; empty = unobserved
   RunManifest manifest_;
-  sim::metrics::Snapshot before_;
-  sim::telemetry::Snapshot telemetry_before_;
   double wall_start_ = 0.0;
   double cpu_start_ = 0.0;
 };
@@ -605,7 +607,7 @@ EntropyMapResult run_entropy_map(const EntropyMapSpec& spec,
     config.supply_nominal_v = calibration.nominal_voltage;
     RingBitSource source(config, calibration, noise::FaultScenario{});
 
-    const bool watch = telemetry_active();
+    const bool watch = sim::telemetry::enabled();
     trng::telemetry::StreamingEntropy stream;
     if (watch) source.attach_telemetry(&stream);
 
@@ -710,7 +712,7 @@ AttackResilienceResult run_attack_resilience(const AttackResilienceSpec& spec,
     // When a telemetry sink is live, watch both the DFF-sampled raw stream
     // (pre-monitor) and the supervised stream the generator actually sees;
     // both readings are published under this cell's label.
-    const bool watch = telemetry_active();
+    const bool watch = sim::telemetry::enabled();
     trng::telemetry::StreamingEntropy raw_stream;
     trng::telemetry::StreamingEntropy monitored_stream;
     if (watch) {

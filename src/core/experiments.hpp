@@ -35,6 +35,8 @@
 
 namespace ringent::core {
 
+struct RunManifest;  // core/export.hpp
+
 struct ExperimentOptions {
   std::uint64_t seed = 20120312;  ///< master seed (DATE 2012 dates)
   bool with_noise = true;         ///< dynamic Gaussian noise on/off
@@ -53,6 +55,12 @@ struct ExperimentOptions {
   /// device. Jitter measurements default to board 0, like the paper's
   /// single-board oscilloscope session.
   int board_index = -1;
+
+  /// Receives the run manifest the driver builds when the run is observed
+  /// with metrics (sim/observe.hpp); null = the manifest goes only to
+  /// last_run_manifest() and RINGENT_OUT_DIR. The registry's run_spec
+  /// points it at the manifest it returns.
+  RunManifest* manifest = nullptr;
 };
 
 // --- Fig. 8 / Table I: sensitivity to voltage variations -------------------

@@ -198,11 +198,7 @@ RunManifest RunManifest::from_json(const Json& json) {
 }
 
 namespace {
-std::mutex last_manifest_mutex;
-std::optional<RunManifest>& last_manifest_slot() {
-  static std::optional<RunManifest>* slot = new std::optional<RunManifest>();
-  return *slot;
-}
+thread_local std::optional<RunManifest> last_manifest;
 }  // namespace
 
 std::string write_run_manifest(const RunManifest& manifest) {
@@ -212,24 +208,19 @@ std::string write_run_manifest(const RunManifest& manifest) {
                         c == '_',
                     "experiment id must be a filesystem-safe slug");
   }
-  const std::string dir = artifact_dir().value_or(".");
-  const std::string path = dir + "/" + manifest.experiment + ".manifest.json";
+  last_manifest = manifest;
+  const auto dir = artifact_dir();
+  if (!dir.has_value()) return "";
+  const std::string path = *dir + "/" + manifest.experiment + ".manifest.json";
   std::ofstream out(path);
-  RINGENT_REQUIRE(out.good(), "cannot open manifest file " + path);
+  if (!out.good()) throw Error("cannot open manifest file " + path);
   out << manifest.to_json().dump(2) << "\n";
   out.flush();
   if (!out.good()) throw Error("I/O error writing manifest " + path);
-  {
-    std::lock_guard<std::mutex> lock(last_manifest_mutex);
-    last_manifest_slot() = manifest;
-  }
   return path;
 }
 
-std::optional<RunManifest> last_run_manifest() {
-  std::lock_guard<std::mutex> lock(last_manifest_mutex);
-  return last_manifest_slot();
-}
+std::optional<RunManifest> last_run_manifest() { return last_manifest; }
 
 // --- telemetry snapshots ----------------------------------------------------
 
@@ -248,6 +239,17 @@ std::string_view histogram_slug(const std::string& name) {
 }
 
 }  // namespace
+
+TelemetrySnapshot TelemetrySnapshot::of(std::string experiment,
+                                        const sim::Scope& scope,
+                                        double wall_ms) {
+  TelemetrySnapshot snap;
+  snap.experiment = std::move(experiment);
+  snap.wall_ms = wall_ms;
+  snap.histograms = scope.histograms().non_empty();
+  snap.streams = scope.streams();
+  return snap;
+}
 
 std::vector<HistogramSummary> TelemetrySnapshot::summaries() const {
   std::vector<HistogramSummary> out;
@@ -344,99 +346,24 @@ TelemetrySnapshot TelemetrySnapshot::from_json(const Json& json) {
   return snap;
 }
 
-namespace {
-
-std::mutex telemetry_mutex;
-std::uint64_t telemetry_sequence = 0;
-
-std::string& telemetry_path_slot() {
-  static std::string* slot = new std::string();
-  return *slot;
-}
-
-std::optional<TelemetrySnapshot>& last_telemetry_slot() {
-  static std::optional<TelemetrySnapshot>* slot =
-      new std::optional<TelemetrySnapshot>();
-  return *slot;
-}
-
-}  // namespace
-
-void set_telemetry_path(const std::string& path) {
-  {
-    std::lock_guard<std::mutex> lock(telemetry_mutex);
-    telemetry_path_slot() = path;
+std::string append_telemetry_snapshot(sim::TelemetrySink& sink,
+                                      TelemetrySnapshot snapshot) {
+  const std::lock_guard<std::mutex> lock(sink.mutex);
+  snapshot.sequence = sink.sequence++;
+  const std::string& path = sink.path;
+  const bool prometheus =
+      path.size() >= 5 && path.compare(path.size() - 5, 5, ".prom") == 0;
+  // Scrape-file mode: the latest snapshot replaces the previous one.
+  std::ofstream out(path, prometheus ? std::ios::trunc : std::ios::app);
+  if (!out.good()) throw Error("cannot open telemetry sink " + path);
+  if (prometheus) {
+    out << prometheus_exposition(snapshot);
+  } else {
+    out << snapshot.to_json().dump() << "\n";
   }
-  sim::telemetry::set_enabled(!path.empty());
-}
-
-std::string telemetry_path() {
-  std::lock_guard<std::mutex> lock(telemetry_mutex);
-  return telemetry_path_slot();
-}
-
-bool telemetry_active() {
-  std::lock_guard<std::mutex> lock(telemetry_mutex);
-  return !telemetry_path_slot().empty() && sim::telemetry::enabled();
-}
-
-bool init_telemetry_from_env() {
-  const char* env = std::getenv("RINGENT_TELEMETRY");
-  if (env != nullptr && env[0] != '\0') {
-    bool configured = false;
-    {
-      std::lock_guard<std::mutex> lock(telemetry_mutex);
-      configured = !telemetry_path_slot().empty();
-    }
-    if (!configured) set_telemetry_path(env);
-  }
-  return telemetry_active();
-}
-
-TelemetrySnapshot collect_telemetry(const std::string& experiment,
-                                    const sim::telemetry::Snapshot& delta,
-                                    double wall_ms) {
-  TelemetrySnapshot snap;
-  snap.experiment = experiment;
-  snap.wall_ms = wall_ms;
-  snap.histograms = delta.non_empty();
-  snap.streams = trng::telemetry::take_published();
-  return snap;
-}
-
-std::string append_telemetry_snapshot(TelemetrySnapshot snapshot) {
-  std::string path;
-  {
-    std::lock_guard<std::mutex> lock(telemetry_mutex);
-    path = telemetry_path_slot();
-    snapshot.sequence = telemetry_sequence++;
-  }
-  if (!path.empty()) {
-    if (path.size() >= 5 && path.compare(path.size() - 5, 5, ".prom") == 0) {
-      // Scrape-file mode: the latest snapshot replaces the previous one.
-      std::ofstream out(path);
-      RINGENT_REQUIRE(out.good(), "cannot open telemetry sink " + path);
-      out << prometheus_exposition(snapshot);
-      out.flush();
-      if (!out.good()) throw Error("I/O error writing telemetry sink " + path);
-    } else {
-      std::ofstream out(path, std::ios::app);
-      RINGENT_REQUIRE(out.good(), "cannot open telemetry sink " + path);
-      out << snapshot.to_json().dump() << "\n";
-      out.flush();
-      if (!out.good()) throw Error("I/O error writing telemetry sink " + path);
-    }
-  }
-  {
-    std::lock_guard<std::mutex> lock(telemetry_mutex);
-    last_telemetry_slot() = std::move(snapshot);
-  }
+  out.flush();
+  if (!out.good()) throw Error("I/O error writing telemetry sink " + path);
   return path;
-}
-
-std::optional<TelemetrySnapshot> last_telemetry_snapshot() {
-  std::lock_guard<std::mutex> lock(telemetry_mutex);
-  return last_telemetry_slot();
 }
 
 namespace {

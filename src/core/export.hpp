@@ -7,22 +7,23 @@
 // build core::Table objects anyway, and artifact() writes table.csv() plus a
 // provenance header (experiment id, seed, library version).
 //
-// Run manifests are the observability companion: when metrics collection is
-// on (sim/metrics.hpp), every experiment driver emits one RunManifest —
-// spec, master seed, resolved jobs, wall/CPU totals, per-phase timers and
-// the counter delta attributable to that run — serialized as
-// <dir>/<experiment>.manifest.json. The schema is versioned
+// Run manifests are the observability companion: every experiment driver
+// run under an observation scope that collects metrics (sim/observe.hpp)
+// builds one RunManifest from its own scope — spec, master seed, resolved
+// jobs, wall/CPU totals, per-phase timers and the counters of that run
+// alone, even when other runs share the process. Like CSV artifacts, the
+// manifest is written as <dir>/<experiment>.manifest.json only when
+// RINGENT_OUT_DIR names <dir>. The schema is versioned
 // ("ringent.run-manifest/1") and round-trip checked by the test suite.
 //
-// Telemetry snapshots are the distribution-level companion: when a snapshot
-// sink is configured (RINGENT_TELEMETRY=FILE or --telemetry FILE) every
-// driver additionally appends one "ringent.telemetry/1" JSON line to that
-// file — the histogram-registry delta (sim/telemetry.hpp) plus any stream
-// observables published by trng/telemetry.hpp — and embeds quantile
-// summaries in its run manifest. prometheus_exposition() renders the same
-// snapshot in the Prometheus text format for scrape-style consumers; a sink
-// path ending in ".prom" selects that format (latest snapshot wins) instead
-// of JSONL.
+// Telemetry snapshots are the distribution-level companion: when the scope
+// has a telemetry sink (`--observe telemetry=FILE`) every driver
+// additionally appends one "ringent.telemetry/1" JSON line to that file —
+// its scope's histograms (sim/telemetry.hpp) plus the stream observables
+// published by trng/telemetry.hpp — and embeds quantile summaries in its
+// run manifest. prometheus_exposition() renders the same snapshot in the
+// Prometheus text format for scrape-style consumers; a sink path ending in
+// ".prom" selects that format (latest snapshot wins) instead of JSONL.
 #pragma once
 
 #include <optional>
@@ -32,6 +33,7 @@
 #include "common/json.hpp"
 #include "core/report.hpp"
 #include "sim/metrics.hpp"
+#include "sim/observe.hpp"
 #include "sim/telemetry.hpp"
 #include "trng/telemetry.hpp"
 
@@ -65,8 +67,8 @@ struct HistogramSummary {
   static HistogramSummary of(const sim::telemetry::HistogramSnapshot& h);
 };
 
-/// One observable experiment run, emitted by every driver in
-/// core/experiments.cpp when sim::metrics::enabled().
+/// One observable experiment run, built by every driver in
+/// core/experiments.cpp run under a scope that collects metrics.
 struct RunManifest {
   static constexpr std::string_view schema = "ringent.run-manifest/1";
 
@@ -77,7 +79,7 @@ struct RunManifest {
   std::size_t tasks = 0;   ///< independent sweep axes executed
   double wall_ms = 0.0;    ///< driver wall-clock
   double cpu_ms = 0.0;     ///< process CPU over the driver (> wall when parallel)
-  sim::metrics::Snapshot metrics;  ///< counter/phase delta for this run
+  sim::metrics::Snapshot metrics;  ///< counters and phases of this run
   std::string version;     ///< version_string() at emission
   /// Histogram summaries for the run, present only when telemetry was
   /// collecting (the "telemetry" key is omitted when empty, so manifests
@@ -91,27 +93,32 @@ struct RunManifest {
   static RunManifest from_json(const Json& json);
 };
 
-/// Serialize `manifest` to <dir>/<experiment>.manifest.json, where <dir> is
-/// RINGENT_OUT_DIR or "." when unset. Returns the path written. Also
-/// records the manifest for last_run_manifest(). Throws on I/O failure.
+/// Record `manifest` as this thread's last_run_manifest(), then serialize
+/// it to <dir>/<experiment>.manifest.json when RINGENT_OUT_DIR names <dir>.
+/// Returns the path written ("" when RINGENT_OUT_DIR is unset). Throws on
+/// I/O failure, which leaves the recorded manifest as it is.
 std::string write_run_manifest(const RunManifest& manifest);
 
-/// The most recently written manifest of this process (empty before the
-/// first write). Lets tests and callers validate a driver's event counts
-/// without re-reading the file.
+/// The last manifest a driver built on this thread (empty before the
+/// first). Lets a caller that ran a campaign or a driver read its counters
+/// without re-reading a file.
 std::optional<RunManifest> last_run_manifest();
 
-/// One streamed telemetry snapshot: the histogram-registry delta of a run
-/// (or a whole process) plus any published stream observables. Serialized
-/// as a single JSON line ("ringent.telemetry/1") so a sink file is JSONL.
+/// One streamed telemetry snapshot: the histograms of a run (or of a whole
+/// front-end run) plus its published stream observables. Serialized as a
+/// single JSON line ("ringent.telemetry/1") so a sink file is JSONL.
 struct TelemetrySnapshot {
   static constexpr std::string_view schema = "ringent.telemetry/1";
 
   std::string experiment;     ///< driver slug or "<bench>-total"
-  std::uint64_t sequence = 0; ///< per-process snapshot counter, assigned on append
+  std::uint64_t sequence = 0; ///< per-sink snapshot counter, assigned on append
   double wall_ms = 0.0;       ///< wall-clock covered by the snapshot
   std::vector<sim::telemetry::HistogramSnapshot> histograms;  ///< non-empty only
   std::vector<trng::telemetry::StreamStats> streams;
+
+  /// The histograms and streams `scope` holds so far.
+  static TelemetrySnapshot of(std::string experiment, const sim::Scope& scope,
+                              double wall_ms);
 
   /// Summaries for manifest embedding / human-readable tables.
   std::vector<HistogramSummary> summaries() const;
@@ -123,32 +130,11 @@ struct TelemetrySnapshot {
   static TelemetrySnapshot from_json(const Json& json);
 };
 
-/// Configure the snapshot sink ("" disables). Also flips the
-/// sim::telemetry collection switch so probes start recording.
-void set_telemetry_path(const std::string& path);
-/// The configured sink path ("" when none).
-std::string telemetry_path();
-/// True when a sink is configured and collection is on.
-bool telemetry_active();
-/// Adopt RINGENT_TELEMETRY as the sink when set and none is configured.
-/// Returns the resulting telemetry_active().
-bool init_telemetry_from_env();
-
-/// Build a snapshot from a histogram-registry delta and the streams
-/// published since the last drain.
-TelemetrySnapshot collect_telemetry(const std::string& experiment,
-                                    const sim::telemetry::Snapshot& delta,
-                                    double wall_ms);
-
-/// Append `snapshot` to the configured sink (assigning its sequence) and
-/// remember it for last_telemetry_snapshot(). JSONL append, except a sink
-/// ending in ".prom" is rewritten with the Prometheus exposition instead.
-/// Returns the path written ("" when no sink is configured). Throws on I/O
-/// failure.
-std::string append_telemetry_snapshot(TelemetrySnapshot snapshot);
-
-/// The most recently appended snapshot of this process.
-std::optional<TelemetrySnapshot> last_telemetry_snapshot();
+/// Append `snapshot` to `sink`, assigning its sequence. JSONL append,
+/// except a sink ending in ".prom" is rewritten with the Prometheus
+/// exposition instead. Returns the path written. Throws on I/O failure.
+std::string append_telemetry_snapshot(sim::TelemetrySink& sink,
+                                      TelemetrySnapshot snapshot);
 
 /// Prometheus text exposition of `snapshot`: one `# TYPE ... histogram`
 /// family per histogram (cumulative le-buckets over the log-linear bucket

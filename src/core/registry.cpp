@@ -3,30 +3,11 @@
 #include <string>
 #include <utility>
 
-#include "sim/metrics.hpp"
+#include "sim/observe.hpp"
 
 namespace ringent::core {
 
 namespace {
-
-/// Run `fn` with simulation metrics forced on (so the driver's DriverScope
-/// emits a run manifest), capture that manifest, and restore the previous
-/// metrics state — including on the exception path, so a registry probe
-/// never leaves global metrics flipped on behind the caller's back.
-template <typename Fn>
-RunManifest with_manifest(Fn&& fn) {
-  const bool was_enabled = sim::metrics::enabled();
-  sim::metrics::set_enabled(true);
-  try {
-    std::forward<Fn>(fn)();
-  } catch (...) {
-    sim::metrics::set_enabled(was_enabled);
-    throw;
-  }
-  RunManifest manifest = last_run_manifest().value_or(RunManifest{});
-  sim::metrics::set_enabled(was_enabled);
-  return manifest;
-}
 
 /// Build one descriptor from an experiment's Spec type, its committed small
 /// default instance and its driver function. The JSON surface (schema id,
@@ -49,7 +30,20 @@ ExperimentDescriptor make_entry(const char* name, const char* summary,
   entry.run_spec = [driver](const Json& json, const Calibration& cal,
                             const ExperimentOptions& options) {
     const Spec spec = Spec::from_json(json);
-    return with_manifest([&] { driver(spec, cal, options); });
+    // A scope that collects metrics on top of whatever the caller's scope
+    // collects; the driver's own scope, opened under it, builds the
+    // manifest into `manifest`.
+    sim::Scope* caller = sim::Scope::current();
+    sim::Collect what = caller != nullptr ? caller->collects() : sim::Collect{};
+    what.metrics = true;
+    RunManifest manifest;
+    ExperimentOptions observed = options;
+    observed.manifest = &manifest;
+    {
+      const sim::Scope scope(std::move(what), caller);
+      driver(spec, cal, observed);
+    }
+    return manifest;
   };
   entry.run_small = [run = entry.run_spec, spec_json = small_spec.to_json()](
                         const Calibration& cal,

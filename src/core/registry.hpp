@@ -3,8 +3,8 @@
 // anchor it reproduces, and a type-erased JSON-spec surface: a committed
 // small default spec, a canonicalizer (parse + validate + re-emit — the
 // campaign layer's cache-key normalizer), and `run_spec`, which executes
-// the driver on a serialized spec with simulation metrics forced on and
-// returns the RunManifest it emitted. `run_small` is a thin forwarder of
+// the driver on a serialized spec under an observation scope that collects
+// metrics and returns the RunManifest the driver built from it. `run_small` is a thin forwarder of
 // `run_spec` over `default_spec()` — the uniform "smoke-run any experiment
 // and get its provenance record" entry point the CLI front ends dispatch
 // through.
@@ -60,11 +60,12 @@ struct ExperimentDescriptor {
   /// campaign layer hashes for content addressing.
   std::function<Json(const Json&)> canonicalize;
 
-  /// Run the driver on a serialized spec with simulation metrics forced on for
-  /// the duration, and return the run manifest it emitted. Honors
-  /// `options.seed` / `options.jobs`; restores the previous metrics state
-  /// (enabled or not) before returning. Throws like `canonicalize` on a bad
-  /// spec and like the underlying driver on a bad calibration.
+  /// Run the driver on a serialized spec under its own observation scope
+  /// (sim/observe.hpp) that collects metrics, plus whatever the caller's
+  /// scope collects, and return the run manifest the driver built from it.
+  /// Concurrent calls observe only their own runs. Honors `options.seed` /
+  /// `options.jobs`. Throws like `canonicalize` on a bad spec and like the
+  /// underlying driver on a bad calibration.
   std::function<RunManifest(const Json&, const Calibration&,
                             const ExperimentOptions&)>
       run_spec;

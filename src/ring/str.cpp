@@ -149,7 +149,7 @@ void Str::try_schedule(std::size_t i, Time now) {
       d->dch_ps);
   // The Charlie-resolved delay is the per-evaluation "cost" in the simulated
   // domain — deterministic, so its histogram is bit-exact at any jobs count.
-  sim::telemetry::record(
+  clock_.record(
       sim::telemetry::Histogram::charlie_delay_fs,
       fire_at > now ? static_cast<std::uint64_t>((fire_at - now).fs()) : 0);
   RINGENT_REQUIRE(fire_at >= now, "cannot schedule in the past");

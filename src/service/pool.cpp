@@ -3,11 +3,9 @@
 #include <chrono>
 
 #include "common/require.hpp"
-#include "sim/telemetry.hpp"
+#include "sim/observe.hpp"
 
 namespace ringent::service {
-
-namespace histo = sim::telemetry;
 
 GeneratorPool::GeneratorPool(const PoolConfig& config,
                              const SourceFactory& factory)
@@ -45,8 +43,16 @@ void GeneratorPool::start() {
   RINGENT_REQUIRE(threads_.empty(), "pool already started");
   running_.store(true, std::memory_order_release);
   threads_.reserve(workers_);
+  sim::Scope* scope = sim::Scope::current();
   for (std::size_t w = 0; w < workers_; ++w) {
-    threads_.emplace_back([this, w] { worker_main(w); });
+    threads_.emplace_back([this, w, scope] {
+      if (scope == nullptr) {
+        worker_main(w);
+        return;
+      }
+      const sim::Scope pump_scope(scope->collects(), scope);
+      worker_main(w);
+    });
   }
 }
 

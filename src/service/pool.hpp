@@ -77,6 +77,8 @@ class GeneratorPool {
   GeneratorPool& operator=(const GeneratorPool&) = delete;
 
   /// Launch the worker threads. Idempotent-hostile: call exactly once.
+  /// Each worker runs under a child of the observation scope current here
+  /// (sim/observe.hpp), which must stay open until stop() returns.
   void start();
 
   /// Stop and join the workers. Safe to call more than once; also runs from

@@ -5,14 +5,17 @@
 // (sim/event_queue.hpp) of enabled stages. What both loops share lives here:
 // the simulated clock, the fire and schedule totals, the per-event telemetry
 // probes (sim/telemetry.hpp) and the counts not yet published into the
-// calling thread's counter block (sim/metrics.hpp).
+// observation scope current on the calling thread (sim/metrics.hpp).
 //
 // Nothing is published per event. The loop counts into plain members and a
 // Publish scope adds everything pending with one metrics::bump_all() when it
 // closes, on every way out (a throwing noise source included). Every run
-// call and every start() is one such scope, so a snapshot taken on a thread
-// between ring calls is exact. metrics::enabled() is read at publish time
-// only: counts pending while metrics are off are dropped, not deferred.
+// call and every start() is one such scope, so a scope's totals read between
+// ring calls are exact. The current scope is looked up at publish time only:
+// counts pending while no scope collects metrics are dropped, not deferred.
+// The per-event histogram probes go to the histograms of the scope current
+// when the Publish scope opened, held in a member so that an event costs no
+// thread-local lookup.
 //
 // Counter meanings are those of the event-kernel era they replace, so
 // manifests and pins read the same numbers: every schedule counts one
@@ -43,8 +46,8 @@ class EventClock {
 
   /// Fire the event due at `at` (no earlier than now()).
   void fire(Time at) {
-    telemetry::record(telemetry::Histogram::event_gap_fs,
-                      static_cast<std::uint64_t>((at - now_).fs()));
+    record(telemetry::Histogram::event_gap_fs,
+           static_cast<std::uint64_t>((at - now_).fs()));
     now_ = at;
     ++fired_;
   }
@@ -52,7 +55,13 @@ class EventClock {
   /// Count one schedule; `pending` is the pending population after it.
   void scheduled(std::size_t pending) {
     ++scheduled_;
-    telemetry::record(telemetry::Histogram::queue_depth, pending);
+    record(telemetry::Histogram::queue_depth, pending);
+  }
+
+  /// Record a per-event observation (the STR's Charlie delays, say) into
+  /// the histograms of the open Publish scope's observation scope.
+  void record(telemetry::Histogram histogram, std::uint64_t value) {
+    telemetry::record(histograms_, histogram, value);
   }
 
   /// Move the clock to a run horizon no earlier than now().
@@ -64,8 +73,8 @@ class EventClock {
     pending_[static_cast<std::size_t>(counter)] += n;
   }
 
-  /// Add everything counted since the last publish into the calling
-  /// thread's counter block (nothing when metrics are off) and clear it.
+  /// Add everything counted since the last publish into the current scope
+  /// (nothing when it does not collect metrics) and clear it.
   void publish() {
     using metrics::Counter;
     const std::uint64_t scheduled = scheduled_ - published_scheduled_;
@@ -80,16 +89,24 @@ class EventClock {
     pending_.fill(0);
   }
 
-  /// Publishes when it goes out of scope, however the scope is left.
+  /// Points the per-event probes at the current scope's histograms while
+  /// open, and publishes when it goes out of scope, however it is left.
   class Publish {
    public:
-    explicit Publish(EventClock& clock) : clock_(clock) {}
-    ~Publish() { clock_.publish(); }
+    explicit Publish(EventClock& clock)
+        : clock_(clock), outer_(clock.histograms_) {
+      clock_.histograms_ = telemetry::detail::block;
+    }
+    ~Publish() {
+      clock_.publish();
+      clock_.histograms_ = outer_;
+    }
     Publish(const Publish&) = delete;
     Publish& operator=(const Publish&) = delete;
 
    private:
     EventClock& clock_;
+    telemetry::detail::Block* outer_;
   };
 
  private:
@@ -98,7 +115,8 @@ class EventClock {
   std::uint64_t scheduled_ = 0;
   std::uint64_t published_fired_ = 0;
   std::uint64_t published_scheduled_ = 0;
-  std::array<std::uint64_t, metrics::counter_count> pending_{};
+  metrics::Counts pending_{};
+  telemetry::detail::Block* histograms_ = nullptr;  ///< null = not recording
 };
 
 }  // namespace ringent::sim

@@ -1,41 +1,42 @@
-// Simulation observability: process-wide counters and phase timers.
+// Simulation observability: named counters and phase timers.
 //
-// The simulation (schedule/fire, queue push/pop, Charlie evaluations) and
-// the TRNG health logic are instrumented with named counters. The design
-// constraints, in order:
+// The simulation (schedule/fire, Charlie evaluations) and the TRNG health
+// logic are instrumented with named counters. Every count lands in the
+// observation scope current on the calling thread (sim/observe.hpp), which
+// also owns the phase timers. The design constraints, in order:
 //
-//  1. Near-zero cost, off or on. Collection defaults to disabled; a bump()
-//     is one relaxed atomic load and a predictable branch. The ring event
-//     loops do not bump at all: each ring counts its schedules, fires and
-//     model counts in a sim::EventClock and publishes them with one
-//     bump_all() per run call (see sim/event_clock.hpp), so metrics-on costs
-//     the same per event as metrics-off (bench/perf_kernel.cpp,
-//     BM_IroSimulation vs BM_IroSimulationMetrics).
-//  2. No cross-thread contention when on. Sweeps shard whole simulations
-//     across pool workers (sim/parallel.hpp); a shared counter array would
-//     serialize them on cache-line ping-pong. Each thread therefore adds to
-//     its own relaxed-atomic block; snapshot() sums the blocks.
+//  1. Near-zero cost, off or on. With no scope current, or one that does
+//     not collect metrics, bump() is one thread-local load and a predicted
+//     branch. The ring event loops do not bump at all: each ring counts its
+//     schedules, fires and model counts in a sim::EventClock and publishes
+//     them with one bump_all() per run call (see sim/event_clock.hpp), so
+//     metrics-on costs the same per event as metrics-off
+//     (bench/perf_kernel.cpp, BM_IroSimulation vs BM_IroSimulationMetrics).
+//  2. No cross-thread sharing when on. A pool task runs under its own child
+//     scope and adds its totals into the spawning scope once, when it ends
+//     (sim/parallel.hpp), so workers share no counters at all.
 //  3. Deterministic totals. Counters never feed back into the simulation,
-//     and a quiescent snapshot (no ring call running on the snapshotting
-//     thread) is exact — the golden tests hand-count
-//     event totals against it.
+//     and a scope's totals read between ring calls are exact — the golden
+//     tests hand-count event totals against them.
 //
 // Phase timers accumulate wall and thread-CPU time under string labels
-// ("build", "run", "analyze"); ScopedPhase is the RAII probe. Timer state is
-// mutex-guarded — phases bracket whole simulations, not events.
+// ("build", "run", "analyze"); ScopedPhase is the RAII probe. Phases bracket
+// whole simulations, not events.
 //
-// Enable with metrics::set_enabled(true), the RINGENT_METRICS environment
-// variable (init_from_env), or the --metrics flag of the sweep benches
-// (bench/cli.hpp). Experiment drivers emit a JSON run manifest with a
-// counter/phase delta when metrics are on (core/export.hpp).
+// A scope opened with metrics on (`--observe metrics` on the front ends,
+// or core::ExperimentDescriptor::run_spec) gives every experiment driver
+// under it a run manifest built from its own totals (core/export.hpp).
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
+
+namespace ringent::sim {
+class Scope;
+}
 
 namespace ringent::sim::metrics {
 
@@ -68,50 +69,35 @@ enum class Counter : std::size_t {
 inline constexpr std::size_t counter_count =
     static_cast<std::size_t>(Counter::health_failures) + 1;
 
+using Counts = std::array<std::uint64_t, counter_count>;
+
 /// Stable slug for manifests and logs (e.g. "events_fired").
 std::string_view counter_name(Counter counter);
 
 namespace detail {
-
-struct CounterBlock {
-  std::array<std::atomic<std::uint64_t>, counter_count> values{};
-};
-
-extern std::atomic<bool> enabled_flag;
-
-/// The calling thread's counter block (registered on first use; on thread
-/// exit its counts move into the registry's retired totals, so late
-/// snapshots stay complete).
-CounterBlock& local_block();
-
-/// Number of counter blocks currently registered: one per live thread that
-/// has counted something.
-std::size_t registered_blocks();
-
+/// The counters of the scope current on this thread, or null when no scope
+/// is current or it does not collect metrics. Only sim::Scope sets it.
+extern constinit thread_local Counts* counters;
 }  // namespace detail
 
-/// Global collection switch; off by default.
-inline bool enabled() {
-  return detail::enabled_flag.load(std::memory_order_relaxed);
-}
-void set_enabled(bool on);
+/// True when the current scope collects metrics.
+inline bool enabled() { return detail::counters != nullptr; }
 
-/// Enable when the RINGENT_METRICS environment variable is set to anything
-/// but "" or "0". Returns the resulting enabled state.
-bool init_from_env();
-
-/// Count `n` occurrences of `counter`. The single-branch fast path: when
-/// collection is off this is one relaxed load.
+/// Count `n` occurrences of `counter` in the current scope. When nothing
+/// collects this is one thread-local load.
 inline void bump(Counter counter, std::uint64_t n = 1) {
-  if (!enabled()) return;
-  detail::local_block().values[static_cast<std::size_t>(counter)].fetch_add(
-      n, std::memory_order_relaxed);
+  if (Counts* counts = detail::counters) {
+    (*counts)[static_cast<std::size_t>(counter)] += n;
+  }
 }
 
-/// Add `counts` (indexed by Counter) in one call: a single counter-block
-/// lookup and one relaxed add per nonzero entry. The ring event loops
+/// Add `counts` (indexed by Counter) in one call. The ring event loops
 /// publish their per-run-call counts through this.
-void bump_all(const std::array<std::uint64_t, counter_count>& counts);
+inline void bump_all(const Counts& counts) {
+  if (Counts* into = detail::counters) {
+    for (std::size_t i = 0; i < counter_count; ++i) (*into)[i] += counts[i];
+  }
+}
 
 struct PhaseStat {
   std::string name;
@@ -120,25 +106,15 @@ struct PhaseStat {
   std::uint64_t calls = 0;
 };
 
-/// A consistent copy of all counters and phase timers. Snapshots taken while
-/// no simulation is in flight are exact.
+/// A copy of a scope's counters and phase timers (phases sorted by name).
 struct Snapshot {
-  std::array<std::uint64_t, counter_count> counters{};
+  Counts counters{};
   std::vector<PhaseStat> phases;
 
   std::uint64_t counter(Counter c) const {
     return counters[static_cast<std::size_t>(c)];
   }
-  /// Counter and phase differences since `earlier` (per-experiment deltas
-  /// for manifests). Phases present only here are kept as-is.
-  Snapshot delta_since(const Snapshot& earlier) const;
 };
-
-Snapshot snapshot();
-
-/// Zero every counter and drop all phase timers. Call only while no
-/// simulation is running (tests, bench setup).
-void reset();
 
 /// Monotonic wall clock in seconds (steady_clock).
 double wall_seconds();
@@ -147,8 +123,9 @@ double thread_cpu_seconds();
 /// CPU time consumed by the whole process, in seconds.
 double process_cpu_seconds();
 
-/// RAII phase timer: accumulates wall + thread-CPU time under `name` between
-/// construction and destruction. Near-free when metrics are disabled.
+/// RAII phase timer: accumulates wall + thread-CPU time under `name` in the
+/// current scope between construction and destruction. One thread-local load
+/// when the current scope does not collect metrics.
 class ScopedPhase {
  public:
   explicit ScopedPhase(std::string_view name);
@@ -157,7 +134,7 @@ class ScopedPhase {
   ScopedPhase& operator=(const ScopedPhase&) = delete;
 
  private:
-  bool active_ = false;
+  Scope* scope_ = nullptr;  ///< the scope timed into; null when inactive
   std::string name_;
   double wall_start_ = 0.0;
   double cpu_start_ = 0.0;

@@ -9,36 +9,13 @@
 #include <exception>
 #include <limits>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <thread>
 
-#include "sim/metrics.hpp"
-#include "sim/telemetry.hpp"
+#include "sim/observe.hpp"
 #include "sim/trace.hpp"
-
-namespace {
-
-/// Run one pool task, recording its wall-clock duration into the
-/// pool_task_ns histogram when telemetry is on (two clock reads — paid only
-/// when collecting; the off path is the task call alone).
-template <class Task>
-void run_timed_task(std::size_t i, const Task& task) {
-  namespace telemetry = ringent::sim::telemetry;
-  namespace metrics = ringent::sim::metrics;
-  if (!telemetry::enabled()) {
-    task(i);
-    return;
-  }
-  const double start = metrics::wall_seconds();
-  task(i);
-  const double elapsed = metrics::wall_seconds() - start;
-  telemetry::record(telemetry::Histogram::pool_task_ns,
-                    elapsed > 0.0 ? static_cast<std::uint64_t>(elapsed * 1e9)
-                                  : 0);
-}
-
-}  // namespace
 
 namespace ringent::sim {
 
@@ -79,6 +56,29 @@ std::size_t resolve_jobs(std::size_t jobs) {
   return jobs == 0 ? default_jobs() : std::min(jobs, max_jobs());
 }
 
+namespace {
+
+/// Run task `i` in the current scope: counted, spanned when the scope
+/// traces, and timed into the pool_task_ns histogram when it collects
+/// histograms (two clock reads — the off path is the task call alone).
+void run_task(std::size_t i, const std::function<void(std::size_t)>& task) {
+  metrics::bump(metrics::Counter::pool_tasks);
+  std::optional<trace::Span> span;
+  if (trace::enabled()) span.emplace("task " + std::to_string(i), "pool");
+  if (!telemetry::enabled()) {
+    task(i);
+    return;
+  }
+  const double start = metrics::wall_seconds();
+  task(i);
+  const double elapsed = metrics::wall_seconds() - start;
+  telemetry::record(telemetry::Histogram::pool_task_ns,
+                    elapsed > 0.0 ? static_cast<std::uint64_t>(elapsed * 1e9)
+                                  : 0);
+}
+
+}  // namespace
+
 std::size_t parse_jobs_arg(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg(argv[i]);
@@ -108,6 +108,7 @@ struct ThreadPool::Impl {
   std::uint64_t generation = 0;
   std::size_t count = 0;
   const std::function<void(std::size_t)>* fn = nullptr;
+  Scope* scope = nullptr;  ///< the caller's scope: each task runs in a child
   std::atomic<std::size_t> next{0};
   std::size_t busy = 0;  ///< workers still draining the current batch
 
@@ -125,13 +126,12 @@ struct ThreadPool::Impl {
     for (;;) {
       const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
       if (i >= count) return;
-      metrics::bump(metrics::Counter::pool_tasks);
       try {
-        if (trace::enabled()) {
-          trace::Span span("task " + std::to_string(i), "pool");
-          run_timed_task(i, task);
+        if (scope != nullptr) {
+          const Scope task_scope(scope->collects(), scope);
+          run_task(i, task);
         } else {
-          run_timed_task(i, task);
+          run_task(i, task);
         }
       } catch (...) {
         std::lock_guard<std::mutex> lock(mutex);
@@ -192,15 +192,7 @@ void ThreadPool::for_each_index(std::size_t count,
   if (count == 0) return;
   if (impl_ == nullptr || count == 1) {
     // Inline path: a plain sequential loop (first exception propagates).
-    for (std::size_t i = 0; i < count; ++i) {
-      metrics::bump(metrics::Counter::pool_tasks);
-      if (trace::enabled()) {
-        trace::Span span("task " + std::to_string(i), "pool");
-        run_timed_task(i, fn);
-      } else {
-        run_timed_task(i, fn);
-      }
-    }
+    for (std::size_t i = 0; i < count; ++i) run_task(i, fn);
     return;
   }
 
@@ -209,6 +201,7 @@ void ThreadPool::for_each_index(std::size_t count,
     std::lock_guard<std::mutex> lock(impl.mutex);
     impl.count = count;
     impl.fn = &fn;
+    impl.scope = Scope::current();
     impl.next.store(0, std::memory_order_relaxed);
     impl.error = nullptr;
     impl.error_index = 0;

@@ -66,6 +66,12 @@ std::size_t parse_jobs_arg(int argc, char** argv);
 /// With jobs == 1 (or a single task) the batch runs inline on the calling
 /// thread and no worker threads are ever spawned.
 ///
+/// Observation: when a scope is current on the calling thread
+/// (sim/observe.hpp), every task of a threaded batch runs under its own
+/// child of that scope, which adds the task's counts into it when the task
+/// ends; inline tasks count straight into it. Totals are the same at any
+/// `jobs`.
+///
 /// The pool itself is not thread-safe: one batch at a time, driven from the
 /// owning thread. Tasks must not touch the pool.
 class ThreadPool {

@@ -1,22 +1,25 @@
-// Streaming distribution telemetry: lock-free per-thread log-linear
-// histograms over the simulation substrate.
+// Distribution telemetry: log-linear histograms over the simulation
+// substrate.
 //
 // sim/metrics counts *how often* things happen; this layer records *how they
 // are distributed* — event inter-fire gaps, pending-queue depths, Charlie
 // fire delays, pool-task durations, and the trng health observables
-// (trng/telemetry.hpp feeds the rct/apt/relock histograms). The design
-// constraints mirror metrics.hpp exactly:
+// (trng/telemetry.hpp feeds the rct/apt/relock histograms). Every
+// observation lands in the observation scope current on the calling thread
+// (sim/observe.hpp), and only a scope that asks for histograms has any
+// bucket storage. The design constraints mirror metrics.hpp:
 //
-//  1. Zero cost when off. Every record() is one relaxed atomic load and a
-//     predicted branch; the histogram arithmetic runs only when a snapshot
-//     consumer turned collection on (RINGENT_TELEMETRY / --telemetry).
-//  2. No cross-thread contention when on. Each thread owns a block of
-//     relaxed-atomic bucket counters; snapshot() sums the blocks.
-//  3. Deterministic counts. Every histogram except pool_task_ns records a
-//     simulated-domain observable (femtoseconds, queue population, bit
-//     indices), so bucket counts — and therefore quantiles — are bit-exact
-//     at any `jobs` value: shards merge additively. pool_task_ns is wall
-//     clock and explicitly excluded from that guarantee.
+//  1. Zero cost when off. Every record() is one thread-local load and a
+//     predicted branch; the histogram arithmetic runs only under a scope
+//     that collects histograms (`--observe telemetry=FILE`).
+//  2. No cross-thread sharing when on. A pool task records into its own
+//     child scope's block, added into the spawning scope when the task ends.
+//  3. Deterministic counts. Every histogram except pool_task_ns and
+//     service_acquire_ns records a simulated-domain observable
+//     (femtoseconds, queue population, bit indices), so bucket counts — and
+//     therefore quantiles — are bit-exact at any `jobs` value: shards merge
+//     additively. The two wall-clock histograms are excluded from that
+//     guarantee.
 //
 // Bucketing is HDR-style log-linear: values below 2^sub_bucket_bits map to
 // their own exact bucket; above that, each power of two splits into
@@ -28,7 +31,6 @@
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <bit>
 #include <cstdint>
 #include <string_view>
@@ -93,39 +95,37 @@ constexpr std::uint64_t bucket_high(std::size_t index) {
 
 namespace detail {
 
-struct HistogramBlock {
-  std::array<std::array<std::atomic<std::uint64_t>, bucket_count>,
-             histogram_count>
+/// One scope's bucket counters (about 150 KB: allocated only for a scope
+/// that collects histograms).
+struct Block {
+  std::array<std::array<std::uint64_t, bucket_count>, histogram_count>
       buckets{};
-  std::array<std::atomic<std::uint64_t>, histogram_count> sums{};
+  std::array<std::uint64_t, histogram_count> sums{};
 };
 
-extern std::atomic<bool> enabled_flag;
-
-/// The calling thread's block (registered on first use; on thread exit its
-/// observations move into the registry's retired totals, so late snapshots
-/// stay complete).
-HistogramBlock& local_block();
-
-/// Number of histogram blocks currently registered: one per live thread
-/// that has recorded something.
-std::size_t registered_blocks();
-
-void record_slow(Histogram histogram, std::uint64_t value);
+/// The block of the scope current on this thread, or null when no scope is
+/// current or it does not collect histograms. Only sim::Scope sets it.
+extern constinit thread_local Block* block;
 
 }  // namespace detail
 
-/// Global collection switch; off by default.
-inline bool enabled() {
-  return detail::enabled_flag.load(std::memory_order_relaxed);
-}
-void set_enabled(bool on);
+/// True when the current scope collects histograms.
+inline bool enabled() { return detail::block != nullptr; }
 
-/// Record one observation. The single-branch fast path: when collection is
-/// off this is one relaxed load.
+/// Record one observation into `block` (nothing when it is null).
+inline void record(detail::Block* block, Histogram histogram,
+                   std::uint64_t value) {
+  if (block != nullptr) {
+    const auto h = static_cast<std::size_t>(histogram);
+    ++block->buckets[h][bucket_index(value)];
+    block->sums[h] += value;
+  }
+}
+
+/// Record one observation in the current scope. When nothing collects this
+/// is one thread-local load.
 inline void record(Histogram histogram, std::uint64_t value) {
-  if (!enabled()) return;
-  detail::record_slow(histogram, value);
+  record(detail::block, histogram, value);
 }
 
 /// One histogram's merged state: exact count/sum plus the sparse non-empty
@@ -150,25 +150,19 @@ struct HistogramSnapshot {
   std::uint64_t max_bound() const;  ///< upper bound of the largest observation
 };
 
-/// A consistent copy of every histogram, dense (indexed by Histogram).
-/// Quiescent snapshots (no simulation in flight) are exact.
+/// A copy of a scope's histograms, dense (indexed by Histogram).
 struct Snapshot {
   std::array<std::vector<std::uint64_t>, histogram_count> buckets;
   std::array<std::uint64_t, histogram_count> counts{};
   std::array<std::uint64_t, histogram_count> sums{};
 
-  /// Per-histogram difference since `earlier` (per-experiment deltas).
-  Snapshot delta_since(const Snapshot& earlier) const;
+  /// Dense copy of `block` (all zero when null).
+  static Snapshot of(const detail::Block* block);
 
   /// Sparse view of one histogram.
   HistogramSnapshot histogram(Histogram histogram) const;
   /// Sparse views of every non-empty histogram, in enum order.
   std::vector<HistogramSnapshot> non_empty() const;
 };
-
-Snapshot snapshot();
-
-/// Zero every bucket. Call only while no simulation is running.
-void reset();
 
 }  // namespace ringent::sim::telemetry

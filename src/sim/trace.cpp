@@ -1,184 +1,107 @@
 #include "sim/trace.hpp"
 
-#include <atomic>
-#include <chrono>
-#include <cstdlib>
-#include <fstream>
-#include <mutex>
-#include <thread>
-#include <vector>
+#include <cstdio>
 
 #include "common/json.hpp"
 #include "common/require.hpp"
+#include "sim/observe.hpp"
 
 namespace ringent::sim::trace {
 
-namespace {
-
-/// A 'B' event whose 'E' has not been written yet; stop() balances these so
-/// the file closes well-formed even when spans are still open.
-struct OpenSpan {
-  std::string name;
-  std::string category;
-};
-
-struct Collector {
-  std::mutex mutex;
-  std::atomic<bool> active{false};
-  std::uint64_t session = 0;  ///< bumped on every start(); stale spans no-op
-  std::string path;
-  std::chrono::steady_clock::time_point t0;
-  std::ofstream out;
-  bool first_event = true;
-  bool io_failed = false;
-  std::vector<std::thread::id> tids;       ///< index = stable small tid
-  std::vector<std::vector<OpenSpan>> open; ///< per-tid stack of open spans
-
-  int tid_of(std::thread::id id) {
-    for (std::size_t i = 0; i < tids.size(); ++i) {
-      if (tids[i] == id) return static_cast<int>(i);
-    }
-    tids.push_back(id);
-    open.emplace_back();
-    return static_cast<int>(tids.size() - 1);
-  }
-};
-
-Collector& collector() {
-  static Collector* instance = new Collector();  // leaked: atexit-safe
-  return *instance;
+File::File(const std::string& path) : path_(path) {
+  RINGENT_REQUIRE(!path.empty(), "trace path must not be empty");
+  out_.open(path);
+  RINGENT_REQUIRE(out_.good(), "cannot open trace file " + path);
+  out_ << "{\n \"displayTimeUnit\": \"ms\",\n \"traceEvents\": [\n";
+  out_.flush();
+  io_failed_ = !out_.good();
+  t0_ = std::chrono::steady_clock::now();
 }
 
-double elapsed_us(const Collector& c) {
-  return std::chrono::duration<double, std::micro>(
-             std::chrono::steady_clock::now() - c.t0)
-      .count();
+File::~File() {
+  try {
+    close();
+  } catch (const std::exception& error) {
+    std::fprintf(stderr, "ringent: %s\n", error.what());
+  }
+}
+
+void File::close() {
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (closed_) return;
+  closed_ = true;
+  // Balance whatever is still open so the serialized file always parses.
+  for (std::size_t tid = 0; tid < open_.size(); ++tid) {
+    while (!open_[tid].empty()) {
+      const OpenSpan span = std::move(open_[tid].back());
+      open_[tid].pop_back();
+      write_event(span.name, span.category, 'E', static_cast<int>(tid));
+    }
+  }
+  out_ << "\n]}\n";
+  out_.flush();
+  const bool failed = io_failed_ || !out_.good();
+  out_.close();
+  if (failed) throw Error("I/O error writing trace file " + path_);
+}
+
+bool File::write(const std::string& name, const std::string& category,
+                 bool begin) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (closed_) return false;
+  const std::thread::id id = std::this_thread::get_id();
+  std::size_t tid = 0;
+  while (tid < tids_.size() && tids_[tid] != id) ++tid;
+  if (tid == tids_.size()) {
+    tids_.push_back(id);
+    open_.emplace_back();
+  }
+  write_event(name, category, begin ? 'B' : 'E', static_cast<int>(tid));
+  if (begin) {
+    open_[tid].push_back({name, category});
+  } else if (!open_[tid].empty()) {
+    open_[tid].pop_back();
+  }
+  return true;
 }
 
 /// Append one event object and flush, so a crashed process leaves every
-/// span recorded so far on disk (Perfetto loads truncated traces). Caller
-/// holds the collector mutex.
-void write_event(Collector& c, const std::string& name,
-                 const std::string& category, char phase, double ts_us,
-                 int tid) {
+/// span recorded so far on disk. Caller holds `mutex_`.
+void File::write_event(const std::string& name, const std::string& category,
+                       char phase, int tid) {
   Json event = Json::object();
   event.set("name", name);
   event.set("cat", category);
   event.set("ph", std::string(1, phase));
-  event.set("ts", ts_us);
+  event.set("ts", std::chrono::duration<double, std::micro>(
+                      std::chrono::steady_clock::now() - t0_)
+                      .count());
   event.set("pid", 1);
   event.set("tid", tid);
-  if (!c.first_event) c.out << ",\n";
-  c.first_event = false;
-  c.out << event.dump();
-  c.out.flush();
-  if (!c.out.good()) c.io_failed = true;
+  if (!first_event_) out_ << ",\n";
+  first_event_ = false;
+  out_ << event.dump();
+  out_.flush();
+  if (!out_.good()) io_failed_ = true;
 }
-
-}  // namespace
 
 bool enabled() {
-  return collector().active.load(std::memory_order_relaxed);
-}
-
-void start(const std::string& path) {
-  RINGENT_REQUIRE(!path.empty(), "trace path must not be empty");
-  Collector& c = collector();
-  std::lock_guard<std::mutex> lock(c.mutex);
-  RINGENT_REQUIRE(!c.active.load(std::memory_order_relaxed),
-                  "a trace session is already active");
-  c.out.open(path);
-  RINGENT_REQUIRE(c.out.good(), "cannot open trace file " + path);
-  c.out << "{\n \"displayTimeUnit\": \"ms\",\n \"traceEvents\": [\n";
-  c.out.flush();
-  c.path = path;
-  c.t0 = std::chrono::steady_clock::now();
-  c.first_event = true;
-  c.io_failed = !c.out.good();
-  c.tids.clear();
-  c.open.clear();
-  ++c.session;
-  static bool atexit_registered = false;
-  if (!atexit_registered) {
-    atexit_registered = true;
-    std::atexit([] { stop(); });
-  }
-  c.active.store(true, std::memory_order_relaxed);
-}
-
-void stop() {
-  Collector& c = collector();
-  std::string path;
-  bool io_failed = false;
-  {
-    std::lock_guard<std::mutex> lock(c.mutex);
-    if (!c.active.load(std::memory_order_relaxed)) return;
-    c.active.store(false, std::memory_order_relaxed);
-
-    // Balance whatever is still open (e.g. the process is exiting from
-    // inside a span) so the serialized file always parses.
-    const double now_us = elapsed_us(c);
-    for (std::size_t tid = 0; tid < c.open.size(); ++tid) {
-      while (!c.open[tid].empty()) {
-        const OpenSpan span = std::move(c.open[tid].back());
-        c.open[tid].pop_back();
-        write_event(c, span.name, span.category, 'E', now_us,
-                    static_cast<int>(tid));
-      }
-    }
-    c.out << "\n]}\n";
-    c.out.flush();
-    io_failed = c.io_failed || !c.out.good();
-    c.out.close();
-    path = c.path;
-    c.path.clear();
-    c.tids.clear();
-    c.open.clear();
-  }
-  if (io_failed) throw Error("I/O error writing trace file " + path);
-}
-
-std::string current_path() {
-  Collector& c = collector();
-  std::lock_guard<std::mutex> lock(c.mutex);
-  return c.active.load(std::memory_order_relaxed) ? c.path : std::string();
-}
-
-bool init_from_env() {
-  const char* path = std::getenv("RINGENT_TRACE");
-  if (path != nullptr && path[0] != '\0' && !enabled()) {
-    start(path);
-  }
-  return enabled();
+  const Scope* scope = Scope::current();
+  return scope != nullptr && scope->collects().trace != nullptr;
 }
 
 Span::Span(std::string_view name, std::string_view category) {
-  Collector& c = collector();
-  if (!c.active.load(std::memory_order_relaxed)) return;
-  std::lock_guard<std::mutex> lock(c.mutex);
-  if (!c.active.load(std::memory_order_relaxed)) return;
-  active_ = true;
-  session_ = c.session;
+  const Scope* scope = Scope::current();
+  if (scope == nullptr || scope->collects().trace == nullptr) return;
   name_ = name;
   category_ = category;
-  const int tid = c.tid_of(std::this_thread::get_id());
-  write_event(c, name_, category_, 'B', elapsed_us(c), tid);
-  c.open[static_cast<std::size_t>(tid)].push_back({name_, category_});
+  if (scope->collects().trace->write(name_, category_, true)) {
+    file_ = scope->collects().trace;
+  }
 }
 
 Span::~Span() {
-  if (!active_) return;
-  Collector& c = collector();
-  std::lock_guard<std::mutex> lock(c.mutex);
-  // The session that recorded our 'B' must still be collecting; otherwise
-  // stop() already balanced (or will drop) that 'B'.
-  if (!c.active.load(std::memory_order_relaxed) || c.session != session_) {
-    return;
-  }
-  const int tid = c.tid_of(std::this_thread::get_id());
-  write_event(c, name_, category_, 'E', elapsed_us(c), tid);
-  auto& stack = c.open[static_cast<std::size_t>(tid)];
-  if (!stack.empty()) stack.pop_back();
+  if (file_ != nullptr) file_->write(name_, category_, false);
 }
 
 }  // namespace ringent::sim::trace

@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <mutex>
 #include <utility>
 
 #include "common/fields.hpp"
 #include "common/require.hpp"
+#include "sim/observe.hpp"
 
 namespace ringent::trng::telemetry {
 
@@ -137,32 +137,10 @@ constexpr auto kStreamStatsFields = fields::object<StreamStats>(
 
 RINGENT_FIELDS_JSON(StreamStats, kStreamStatsFields)
 
-namespace {
-
-std::mutex published_mutex;
-std::vector<StreamStats>& published_slot() {
-  static std::vector<StreamStats>* slot = new std::vector<StreamStats>();
-  return *slot;
-}
-
-}  // namespace
-
 void publish(StreamStats stats) {
-  std::lock_guard<std::mutex> lock(published_mutex);
-  published_slot().push_back(std::move(stats));
-}
-
-std::vector<StreamStats> take_published() {
-  std::vector<StreamStats> out;
-  {
-    std::lock_guard<std::mutex> lock(published_mutex);
-    out.swap(published_slot());
+  if (sim::Scope* scope = sim::Scope::current()) {
+    scope->publish(std::move(stats));
   }
-  std::sort(out.begin(), out.end(),
-            [](const StreamStats& a, const StreamStats& b) {
-              return a.label < b.label;
-            });
-  return out;
 }
 
 }  // namespace ringent::trng::telemetry

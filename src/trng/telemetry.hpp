@@ -20,9 +20,9 @@
 //
 // ResilientGenerator and core::RingBitSource accept an attached stream
 // (attach_telemetry) and feed every raw bit; drivers publish() the resulting
-// StreamStats under a per-cell label so the telemetry snapshot writer
-// (core/export.hpp) can emit them alongside the histogram registry. The
-// distribution-shaped health observables (RCT run lengths, APT window
+// StreamStats under a per-cell label into the current observation scope
+// (sim/observe.hpp), so the run's telemetry snapshot (core/export.hpp)
+// carries them next to its histograms. The distribution-shaped health observables (RCT run lengths, APT window
 // counts, bits between alarms, relock durations) land in the
 // sim/telemetry.hpp histograms instead.
 #pragma once
@@ -89,12 +89,9 @@ struct StreamStats {
   static StreamStats from_json(const Json& json);
 };
 
-/// Queue `stats` for the next telemetry snapshot (mutex-guarded; called once
-/// per cell per run, never per bit).
+/// Add `stats` to the current observation scope, which keeps it only when
+/// it collects histograms (sim::telemetry::enabled()). Called once per
+/// cell per run, never per bit.
 void publish(StreamStats stats);
-
-/// Drain everything published since the last call, sorted by label so the
-/// output order is independent of pool scheduling.
-std::vector<StreamStats> take_published();
 
 }  // namespace ringent::trng::telemetry

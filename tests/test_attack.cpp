@@ -16,6 +16,7 @@
 #include "core/experiments.hpp"
 #include "core/export.hpp"
 #include "sim/metrics.hpp"
+#include "sim/observe.hpp"
 #include "trng/resilient.hpp"
 
 using namespace ringent;
@@ -53,16 +54,13 @@ struct AttackRun {
 
 const AttackRun& paper_run() {
   static const AttackRun run = [] {
-    metrics::set_enabled(true);
-    metrics::reset();
+    const sim::Scope scope(sim::Collect{.metrics = true}, nullptr);
     ExperimentOptions options;
     options.jobs = 2;  // pin the pool path; results are jobs-invariant
     AttackRun r;
+    options.manifest = &r.manifest;
     r.result = run_attack_resilience(AttackResilienceSpec::paper_default(),
                                      cyclone_iii(), options);
-    r.manifest = *last_run_manifest();
-    metrics::set_enabled(false);
-    metrics::reset();
     return r;
   }();
   return run;

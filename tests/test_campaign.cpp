@@ -9,6 +9,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -27,6 +28,7 @@
 #include "core/calibration.hpp"
 #include "core/registry.hpp"
 #include "sim/metrics.hpp"
+#include "sim/observe.hpp"
 
 using namespace ringent;
 using namespace ringent::campaign;
@@ -339,11 +341,9 @@ TEST(CampaignSpecs, VoltageSweepWithoutNominalFailsBeforeSimulating) {
   // The nominal voltage is a property of the device, so this one rule is
   // checked by the driver, before any ring is built.
   core::VoltageSweepSpec spec{core::RingSpec::iro(3), {1.1, 1.3}, 30};
-  sim::metrics::reset();
-  sim::metrics::set_enabled(true);
+  const sim::Scope scope(sim::Collect{.metrics = true}, nullptr);
   EXPECT_THROW(core::run_voltage_sweep(spec, core::cyclone_iii()), Error);
-  const sim::metrics::Snapshot after = sim::metrics::snapshot();
-  sim::metrics::set_enabled(false);
+  const sim::metrics::Snapshot after = scope.metrics();
   EXPECT_EQ(after.counters[static_cast<std::size_t>(
                 sim::metrics::Counter::events_fired)],
             0u);
@@ -908,6 +908,44 @@ TEST(CampaignResume, ShardedRunsComposeToTheSameStore) {
 }
 
 // --- status / verify ---------------------------------------------------------
+
+TEST(CampaignResume, StoreDoesNotDependOnWhereManifestsGo) {
+  // A run manifest is returned by run_spec, never read back from a file
+  // or a slot: a missing RINGENT_OUT_DIR, or none at all, must give the
+  // same store bytes as a writable one, and no run may write into the
+  // working directory.
+  const CampaignPlan plan = campaign::load_plan(
+      std::string(RINGENT_PLANS_DIR) + "/every_experiment.json");
+  const char* previous = std::getenv("RINGENT_OUT_DIR");
+  const std::string saved = previous != nullptr ? previous : "";
+  TempDir out("manifests");
+  TempDir writable("out-writable");
+  TempDir missing("out-missing");
+  TempDir unset("out-unset");
+  TempDir cwd("cwd");
+
+  setenv("RINGENT_OUT_DIR", out.str().c_str(), 1);
+  const CampaignReport wrote = run_campaign(plan, ResultStore(writable.str()));
+  EXPECT_EQ(wrote.executed, 11u);
+  EXPECT_FALSE(fs::is_empty(out.path));  // the manifests went here
+
+  setenv("RINGENT_OUT_DIR", (out.str() + "/no/such/dir").c_str(), 1);
+  run_campaign(plan, ResultStore(missing.str()));
+
+  unsetenv("RINGENT_OUT_DIR");
+  const fs::path here = fs::current_path();
+  fs::current_path(cwd.path);
+  run_campaign(plan, ResultStore(unset.str()));
+  (void)core::find_experiment("restart")->run_small(core::cyclone_iii(), {});
+  fs::current_path(here);
+  if (!saved.empty()) setenv("RINGENT_OUT_DIR", saved.c_str(), 1);
+
+  const auto reference = dir_contents(writable.path);
+  ASSERT_EQ(reference.size(), 12u);  // 11 cells + the index
+  EXPECT_TRUE(dir_contents(missing.path) == reference);
+  EXPECT_TRUE(dir_contents(unset.path) == reference);
+  EXPECT_TRUE(fs::is_empty(cwd.path));
+}
 
 TEST(CampaignVerify, StatusAndVerifyReflectTheStore) {
   CampaignPlan plan = tiny_restart_plan();

@@ -14,6 +14,7 @@
 #include <limits>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "cli.hpp"
 #include "common/json.hpp"
@@ -190,36 +191,79 @@ TEST(FuzzRegressionCli, ResolveJobsClampsToTheCeiling) {
   EXPECT_EQ(pool.jobs(), sim::max_jobs());
 }
 
+namespace {
+
+/// Split a pinned cli regression into an argv (argv[0] = "bench"), the way
+/// fuzz/fuzz_cli.cpp does, and parse it.
+bench::CliOptions parse_regression(const std::string& name,
+                                   std::FILE* diagnostics) {
+  std::vector<std::string> tokens = {"bench"};
+  std::istringstream in(regression(name));
+  for (std::string token; std::getline(in, token);) tokens.push_back(token);
+  std::vector<char*> argv;
+  for (auto& token : tokens) argv.push_back(token.data());
+  return bench::parse_cli(static_cast<int>(argv.size()), argv.data(),
+                          diagnostics);
+}
+
+std::string read_all(std::FILE* file) {
+  std::rewind(file);
+  std::string report;
+  char buffer[256];
+  while (std::fgets(buffer, sizeof(buffer), file) != nullptr) report += buffer;
+  std::fclose(file);
+  return report;
+}
+
+}  // namespace
+
 TEST(FuzzRegressionCli, ParseCliReportsUnusableValues) {
   std::FILE* diagnostics = std::tmpfile();
   ASSERT_NE(diagnostics, nullptr);
-  const char* argv[] = {"bench", "--jobs",  "banana", "--jobs=-1",
-                        "--trace=", "--metrics", "--trace"};
+  const char* argv[] = {"bench",     "--jobs",  "banana",
+                        "--jobs=-1", "--observe=trace=",
+                        "--observe", "metrics", "--observe"};
   const bench::CliOptions options =
-      bench::parse_cli(7, const_cast<char**>(argv), diagnostics);
+      bench::parse_cli(8, const_cast<char**>(argv), diagnostics);
   EXPECT_EQ(options.jobs, 0u);
-  EXPECT_TRUE(options.metrics);
-  EXPECT_TRUE(options.trace_path.empty());
+  EXPECT_TRUE(options.observe.metrics);
+  EXPECT_TRUE(options.observe.trace.empty());
 
-  std::rewind(diagnostics);
-  std::string report;
-  char buffer[256];
-  while (std::fgets(buffer, sizeof(buffer), diagnostics) != nullptr) {
-    report += buffer;
-  }
-  std::fclose(diagnostics);
+  const std::string report = read_all(diagnostics);
   EXPECT_NE(report.find("--jobs value"), std::string::npos) << report;
   EXPECT_NE(report.find("banana"), std::string::npos) << report;
   EXPECT_NE(report.find("-1"), std::string::npos) << report;
-  EXPECT_NE(report.find("--trace requires a file path"), std::string::npos)
+  EXPECT_NE(report.find("'trace' needs a file"), std::string::npos)
       << report;
-  EXPECT_NE(report.find("--trace= requires a file path"), std::string::npos)
+  EXPECT_NE(report.find("--observe requires a value"), std::string::npos)
       << report;
+}
+
+TEST(FuzzRegressionCli, ObserveRegressionsKeepTheirFailureClass) {
+  // A trailing --observe with no value: reported, the earlier value kept.
+  std::FILE* trailing = std::tmpfile();
+  ASSERT_NE(trailing, nullptr);
+  const bench::CliOptions kept =
+      parse_regression("cli/trace_trailing", trailing);
+  EXPECT_TRUE(kept.observe.metrics);
+  EXPECT_NE(read_all(trailing).find("--observe requires a value"),
+            std::string::npos);
+
+  // Unusable values: a non-numeric --jobs and an empty trace file.
+  std::FILE* unusable = std::tmpfile();
+  ASSERT_NE(unusable, nullptr);
+  const bench::CliOptions fallback =
+      parse_regression("cli/unusable_values", unusable);
+  EXPECT_EQ(fallback.jobs, 0u);
+  EXPECT_EQ(fallback.observe, sim::ObserveSpec{});
+  const std::string report = read_all(unusable);
+  EXPECT_NE(report.find("banana"), std::string::npos) << report;
+  EXPECT_NE(report.find("'trace' needs a file"), std::string::npos) << report;
 }
 
 TEST(FuzzRegressionCli, SilentModeStaysSilentAndSafe) {
   const std::string overflow = regression("cli/jobs_overflow");
-  const char* argv[] = {"bench", overflow.c_str(), "--trace"};
+  const char* argv[] = {"bench", overflow.c_str(), "--observe"};
   const bench::CliOptions options =
       bench::parse_cli(3, const_cast<char**>(argv), nullptr);
   EXPECT_EQ(options.jobs, 0u);

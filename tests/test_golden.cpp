@@ -22,6 +22,7 @@
 #include "core/experiments.hpp"
 #include "core/export.hpp"
 #include "sim/metrics.hpp"
+#include "sim/observe.hpp"
 
 using namespace ringent;
 using namespace ringent::core;
@@ -292,8 +293,7 @@ TEST(Golden, EntropyMap) {
   // on so the manifest counter totals are pinned alongside the physics —
   // the entropy_map driver gets the same exact-count treatment as the
   // other drivers in ManifestEventCountsAreExact.
-  metrics::set_enabled(true);
-  metrics::reset();
+  const sim::Scope scope(sim::Collect{.metrics = true}, nullptr);
 
   EntropyMapSpec spec;
   spec.stage_counts = {5};
@@ -304,8 +304,6 @@ TEST(Golden, EntropyMap) {
   const auto out = run_entropy_map(spec, cyclone_iii(), golden_options());
 
   const auto manifest = last_run_manifest();
-  metrics::set_enabled(false);
-  metrics::reset();
 
   ASSERT_EQ(out.cells.size(), 4u);  // {iro, str} x {5 stages} x {2 periods}
   std::vector<double> actual = {out.floor_min_entropy};
@@ -378,8 +376,7 @@ TEST(Golden, ManifestEventCountsAreExact) {
   // driver emits carries event totals that are themselves golden — the
   // simulation is deterministic, so scheduling/firing/queue counts are as
   // reproducible as the physics observables above.
-  metrics::set_enabled(true);
-  metrics::reset();
+  const sim::Scope scope(sim::Collect{.metrics = true}, nullptr);
 
   JitterSweepSpec sweep;
   sweep.kind = RingKind::iro;
@@ -389,16 +386,14 @@ TEST(Golden, ManifestEventCountsAreExact) {
   (void)run_jitter_vs_stages(sweep, cyclone_iii(), golden_options());
 
   const auto manifest = last_run_manifest();
-  const metrics::Snapshot snap = metrics::snapshot();
-  metrics::set_enabled(false);
-  metrics::reset();
+  const metrics::Snapshot snap = scope.metrics();
 
   ASSERT_TRUE(manifest.has_value());
   EXPECT_EQ(manifest->experiment, "jitter_vs_stages_iro");
   EXPECT_EQ(manifest->tasks, 2u);
   EXPECT_EQ(manifest->jobs, 2u);
 
-  // Manifest counters must equal the process totals (nothing else ran).
+  // Manifest counters must equal the scope's totals (nothing else ran).
   for (std::size_t i = 0; i < metrics::counter_count; ++i) {
     EXPECT_EQ(manifest->metrics.counters[i], snap.counters[i])
         << metrics::counter_name(static_cast<metrics::Counter>(i));

@@ -25,7 +25,7 @@
 #include "ring/charlie.hpp"
 #include "ring/iro.hpp"
 #include "ring/str.hpp"
-#include "sim/metrics.hpp"
+#include "sim/observe.hpp"
 
 using namespace ringent;
 
@@ -290,8 +290,6 @@ TEST(HotPath, StrDevirtualizedRouteMatchesVirtualCounters) {
   // traffic, Charlie evaluations) stay pinned to the golden values below —
   // any drift means a hot-path change altered behaviour, not just speed.
   namespace metrics = sim::metrics;
-  const bool was_enabled = metrics::enabled();
-  metrics::set_enabled(true);
   ring::StrConfig config;
   config.stages = 8;
   config.charlie =
@@ -301,11 +299,10 @@ TEST(HotPath, StrDevirtualizedRouteMatchesVirtualCounters) {
       ring::make_initial_state(8, 4, ring::TokenPlacement::evenly_spread),
       gaussian_bank(8, 2.0, 777));
   str.start();
-  const metrics::Snapshot before = metrics::snapshot();
+  // Observe the run only, not start().
+  const sim::Scope scope(sim::Collect{.metrics = true}, nullptr);
   str.run_until(Time::from_ns(400.0));
-  const metrics::Snapshot virtual_route =
-      metrics::snapshot().delta_since(before);
-  metrics::set_enabled(was_enabled);
+  const metrics::Snapshot virtual_route = scope.metrics();
 
   // Golden pin: a 400 ns run of the 8-stage NT=NB ring with this noise seed.
   EXPECT_EQ(virtual_route.counter(metrics::Counter::heap_pushes), 4208u);

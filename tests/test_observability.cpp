@@ -1,16 +1,21 @@
 // Tests for the observability layer: hand-counted ring metrics, phase
-// timers, JSON values, run manifests (schema + round trip), Chrome-trace
-// span files and the shared bench CLI.
+// timers, observation scopes (nesting, threads, concurrent runs), the
+// --observe grammar, JSON values, run manifests (schema + round trip),
+// Chrome-trace span files and the shared bench CLI.
 //
-// Metrics and trace state are process-global; every test that enables them
-// uses the RAII guards below so a failing assertion cannot leak an enabled
-// collector into later tests.
+// Every test observes through a scope of its own (sim/observe.hpp), so a
+// failing assertion cannot leak collection into later tests.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <memory>
+#include <sstream>
 #include <stdexcept>
+#include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "cli.hpp"
@@ -24,6 +29,7 @@
 #include "ring/iro.hpp"
 #include "ring/str.hpp"
 #include "sim/metrics.hpp"
+#include "sim/observe.hpp"
 #include "sim/parallel.hpp"
 #include "sim/trace.hpp"
 
@@ -34,17 +40,10 @@ namespace trace = ringent::sim::trace;
 
 namespace {
 
-/// Enables metrics from a clean slate; disables and wipes on exit.
-class MetricsGuard {
+/// A scope collecting metrics, current for the test that opens it.
+class MetricsGuard : public sim::Scope {
  public:
-  MetricsGuard() {
-    metrics::set_enabled(true);
-    metrics::reset();
-  }
-  ~MetricsGuard() {
-    metrics::set_enabled(false);
-    metrics::reset();
-  }
+  MetricsGuard() : sim::Scope(sim::Collect{.metrics = true}, nullptr) {}
 };
 
 /// Points RINGENT_OUT_DIR at a fresh temp directory; restores on exit.
@@ -103,7 +102,7 @@ TEST(Metrics, IroCountersMatchHandCount) {
   constexpr std::uint64_t kEvents = 1000;
   iro.run_events(kEvents);
 
-  const metrics::Snapshot snap = metrics::snapshot();
+  const metrics::Snapshot snap = guard.metrics();
   EXPECT_EQ(snap.counter(metrics::Counter::events_fired), kEvents);
   EXPECT_EQ(snap.counter(metrics::Counter::events_scheduled), kEvents + 1);
   EXPECT_EQ(snap.counter(metrics::Counter::heap_pushes), kEvents + 1);
@@ -128,7 +127,7 @@ TEST(Metrics, StrCountsCharlieEvaluationsPerSchedule) {
   str.start();
   str.run_events(2000);
 
-  const metrics::Snapshot snap = metrics::snapshot();
+  const metrics::Snapshot snap = guard.metrics();
   EXPECT_EQ(snap.counter(metrics::Counter::charlie_evaluations),
             snap.counter(metrics::Counter::events_scheduled));
   EXPECT_GE(snap.counter(metrics::Counter::token_collision_checks),
@@ -154,7 +153,7 @@ TEST(Metrics, StartSchedulesAreVisibleBeforeTheFirstRun) {
   str.start();
   // start() probes every stage once and schedules the four enabled ones
   // (NT = NB = 4, evenly spread: every token faces a bubble).
-  const metrics::Snapshot snap = metrics::snapshot();
+  const metrics::Snapshot snap = guard.metrics();
   EXPECT_EQ(snap.counter(metrics::Counter::token_collision_checks), 8u);
   EXPECT_EQ(snap.counter(metrics::Counter::charlie_evaluations), 4u);
   EXPECT_EQ(snap.counter(metrics::Counter::events_scheduled), 4u);
@@ -166,7 +165,7 @@ TEST(Metrics, StartSchedulesAreVisibleBeforeTheFirstRun) {
   iro_config.stages = 3;
   ring::Iro iro(iro_config, {});
   iro.start();
-  EXPECT_EQ(metrics::snapshot().counter(metrics::Counter::events_scheduled),
+  EXPECT_EQ(guard.metrics().counter(metrics::Counter::events_scheduled),
             5u);
 }
 
@@ -181,7 +180,7 @@ TEST(Metrics, SnapshotIsExactBetweenShortRuns) {
   iro.start();
   for (int step = 1; step <= 5; ++step) {
     iro.run_until(Time::from_ns(3.0 * step));
-    const metrics::Snapshot snap = metrics::snapshot();
+    const metrics::Snapshot snap = guard.metrics();
     const std::uint64_t fired = iro.events_fired();
     ASSERT_GT(fired, 0u);
     EXPECT_EQ(snap.counter(metrics::Counter::events_fired), fired) << step;
@@ -194,22 +193,26 @@ TEST(Metrics, SnapshotIsExactBetweenShortRuns) {
 
 namespace {
 
-/// A noise source for a one-stage IRO that draws zeros and can switch
-/// metrics off or throw on a chosen block refill. The ring draws its noise
-/// 64 samples at a time (noise::BlockSampler): refill k happens on the hop
-/// drawn by fire 64 (k - 1), start() drawing the first.
+/// A noise source for a one-stage IRO that draws zeros and can open a
+/// scope collecting nothing (so metrics are off when the run publishes) or
+/// throw on a chosen block refill. The ring draws its noise 64 samples at a
+/// time (noise::BlockSampler): refill k happens on the hop drawn by fire
+/// 64 (k - 1), start() drawing the first.
 class ProbeNoise final : public noise::NoiseSource {
  public:
   double sample_ps() override { return 0.0; }
   void fill_ps(double* out, std::size_t n) override {
     ++fills;
-    if (fills == disable_at) metrics::set_enabled(false);
+    if (fills == disable_at) {
+      quiet = std::make_unique<sim::Scope>(sim::Collect{}, nullptr);
+    }
     if (fills == throw_at) throw std::runtime_error("probe failure");
     for (std::size_t i = 0; i < n; ++i) out[i] = 0.0;
   }
   std::uint64_t fills = 0;
   std::uint64_t disable_at = 0;
   std::uint64_t throw_at = 0;
+  std::unique_ptr<sim::Scope> quiet;  ///< current from disable_at on
 };
 
 /// A one-stage IRO driven by a ProbeNoise the caller configures.
@@ -244,7 +247,7 @@ TEST(Metrics, ProcessCountsPublishWithTheRunCall) {
   str.start();
   for (std::uint64_t runs = 1; runs <= 3; ++runs) {
     str.run_events(100);
-    const metrics::Snapshot snap = metrics::snapshot();
+    const metrics::Snapshot snap = guard.metrics();
     EXPECT_EQ(snap.counter(metrics::Counter::token_collision_checks),
               8 + 200 * runs);
     EXPECT_EQ(snap.counter(metrics::Counter::events_fired), 100 * runs);
@@ -260,19 +263,19 @@ TEST(Metrics, DisabledAtPublishTimePublishesNothing) {
   const MetricsGuard guard;
   ProbeRing ring;
   ring.iro->start();  // published: metrics are on
-  // Metrics go off mid-run (the refill on fire 64): the whole run call
-  // publishes nothing.
+  // Metrics go off mid-run (the refill on fire 64 opens a scope that
+  // collects nothing): the whole run call publishes nothing.
   ring.probe->disable_at = 2;
   ring.iro->run_events(100);
-  metrics::Snapshot snap = metrics::snapshot();
+  ring.probe->quiet.reset();
+  metrics::Snapshot snap = guard.metrics();
   EXPECT_EQ(snap.counter(metrics::Counter::events_scheduled), 1u);
   EXPECT_EQ(snap.counter(metrics::Counter::events_fired), 0u);
 
   // Back on: the next run publishes its own counts only; the dropped ones
   // do not come back.
-  metrics::set_enabled(true);
   ring.iro->run_events(20);
-  snap = metrics::snapshot();
+  snap = guard.metrics();
   EXPECT_EQ(snap.counter(metrics::Counter::events_scheduled), 21u);
   EXPECT_EQ(snap.counter(metrics::Counter::events_fired), 20u);
   EXPECT_EQ(ring.iro->events_fired(), 120u);
@@ -286,7 +289,7 @@ TEST(Metrics, ThrowingFirePublishesWhatItFired) {
   EXPECT_THROW(ring.iro->run_events(100), std::runtime_error);
   // Sixty-four events fired (the last one threw drawing its successor's
   // hop): the start schedule plus 63 successors.
-  const metrics::Snapshot snap = metrics::snapshot();
+  const metrics::Snapshot snap = guard.metrics();
   EXPECT_EQ(snap.counter(metrics::Counter::events_fired), 64u);
   EXPECT_EQ(snap.counter(metrics::Counter::heap_pops), 64u);
   EXPECT_EQ(snap.counter(metrics::Counter::events_scheduled), 64u);
@@ -294,7 +297,7 @@ TEST(Metrics, ThrowingFirePublishesWhatItFired) {
 }
 
 TEST(Metrics, EntropyMapManifestCountersAreJobsInvariant) {
-  // Each worker's rings publish into that worker's counter block; the
+  // Each task's rings publish into the task's own child scope; the
   // manifest's totals must not depend on how cells were sharded.
   const core::ExperimentDescriptor* entry =
       core::find_experiment("entropy_map");
@@ -321,14 +324,16 @@ TEST(Metrics, EntropyMapManifestCountersAreJobsInvariant) {
 }
 
 TEST(Metrics, DisabledCountersStayZero) {
-  metrics::set_enabled(false);
-  metrics::reset();
+  const sim::Scope scope(sim::Collect{}, nullptr);  // collects nothing
+  EXPECT_FALSE(metrics::enabled());
   ring::IroConfig config;
   config.stages = 3;
   ring::Iro iro(config, {});
   iro.start();
   iro.run_events(500);
-  const metrics::Snapshot snap = metrics::snapshot();
+  sim::parallel_for_each(4, 2, [](std::size_t) {});
+  { const metrics::ScopedPhase phase("ignored"); }
+  const metrics::Snapshot snap = scope.metrics();
   for (std::size_t i = 0; i < metrics::counter_count; ++i) {
     EXPECT_EQ(snap.counters[i], 0u) << metrics::counter_name(
         static_cast<metrics::Counter>(i));
@@ -341,7 +346,7 @@ TEST(Metrics, PoolTasksCountsEveryIndex) {
   std::atomic<int> ran{0};
   sim::parallel_for_each(13, 2, [&](std::size_t) { ran.fetch_add(1); });
   EXPECT_EQ(ran.load(), 13);
-  EXPECT_EQ(metrics::snapshot().counter(metrics::Counter::pool_tasks), 13u);
+  EXPECT_EQ(guard.metrics().counter(metrics::Counter::pool_tasks), 13u);
 }
 
 TEST(Metrics, ScopedPhaseAccumulates) {
@@ -352,7 +357,7 @@ TEST(Metrics, ScopedPhaseAccumulates) {
     volatile double x = 1.0;
     for (int j = 0; j < 20000; ++j) x = x * 1.0000001;
   }
-  const metrics::Snapshot snap = metrics::snapshot();
+  const metrics::Snapshot snap = guard.metrics();
   ASSERT_EQ(snap.phases.size(), 1u);
   EXPECT_EQ(snap.phases[0].name, "unit-test-phase");
   EXPECT_EQ(snap.phases[0].calls, 3u);
@@ -360,20 +365,28 @@ TEST(Metrics, ScopedPhaseAccumulates) {
   EXPECT_GE(snap.phases[0].cpu_ms, 0.0);
 }
 
-TEST(Metrics, DeltaSinceSubtractsCountersAndPhases) {
+TEST(Metrics, ClosingAScopeAddsCountersAndPhasesToItsParent) {
   const MetricsGuard guard;
   metrics::bump(metrics::Counter::events_fired, 7);
   { const metrics::ScopedPhase phase("p"); }
-  const metrics::Snapshot before = metrics::snapshot();
-  metrics::bump(metrics::Counter::events_fired, 5);
-  { const metrics::ScopedPhase phase("p"); }
-  { const metrics::ScopedPhase phase("q"); }
-  const metrics::Snapshot delta = metrics::snapshot().delta_since(before);
-  EXPECT_EQ(delta.counter(metrics::Counter::events_fired), 5u);
-  ASSERT_EQ(delta.phases.size(), 2u);
-  for (const auto& phase : delta.phases) {
-    EXPECT_EQ(phase.calls, 1u) << phase.name;
+  {
+    const sim::Scope run;  // a child: collects what `guard` collects
+    metrics::bump(metrics::Counter::events_fired, 5);
+    { const metrics::ScopedPhase phase("q"); }
+    { const metrics::ScopedPhase phase("p"); }
+    // The child sees its own run only, phases sorted by name.
+    const metrics::Snapshot own = run.metrics();
+    EXPECT_EQ(own.counter(metrics::Counter::events_fired), 5u);
+    ASSERT_EQ(own.phases.size(), 2u);
+    EXPECT_EQ(own.phases[0].name, "p");
+    EXPECT_EQ(own.phases[1].name, "q");
+    for (const auto& phase : own.phases) EXPECT_EQ(phase.calls, 1u);
   }
+  const metrics::Snapshot total = guard.metrics();
+  EXPECT_EQ(total.counter(metrics::Counter::events_fired), 12u);
+  ASSERT_EQ(total.phases.size(), 2u);
+  EXPECT_EQ(total.phases[0].calls, 2u);  // p
+  EXPECT_EQ(total.phases[1].calls, 1u);  // q
 }
 
 // --- JSON value --------------------------------------------------------------
@@ -421,8 +434,8 @@ TEST(Manifest, DriverWritesValidatableManifest) {
       core::cyclone_iii(), options);
   ASSERT_EQ(result.points.size(), 2u);
 
-  // The manifest the driver just wrote must agree with a fresh snapshot:
-  // nothing else ran since, so the delta IS the totals.
+  // The manifest the driver just built must agree with the enclosing
+  // scope: nothing else ran under it.
   const auto manifest = core::last_run_manifest();
   ASSERT_TRUE(manifest.has_value());
   EXPECT_EQ(manifest->experiment, "voltage_sweep");
@@ -433,7 +446,7 @@ TEST(Manifest, DriverWritesValidatableManifest) {
   EXPECT_GT(manifest->wall_ms, 0.0);
   EXPECT_EQ(manifest->version, core::version_string());
 
-  const metrics::Snapshot snap = metrics::snapshot();
+  const metrics::Snapshot snap = guard.metrics();
   EXPECT_GT(manifest->metrics.counter(metrics::Counter::events_fired), 0u);
   for (std::size_t i = 0; i < metrics::counter_count; ++i) {
     EXPECT_EQ(manifest->metrics.counters[i], snap.counters[i])
@@ -458,7 +471,6 @@ TEST(Manifest, FromJsonRejectsWrongSchemaAndMissingKeys) {
   bogus.set("schema", "ringent.run-manifest/999");
   EXPECT_THROW(core::RunManifest::from_json(bogus), Error);
 
-  const MetricsGuard guard;
   core::RunManifest manifest;
   manifest.experiment = "x";
   Json json = manifest.to_json();
@@ -472,12 +484,15 @@ TEST(Manifest, FromJsonRejectsWrongSchemaAndMissingKeys) {
 
 TEST(Manifest, NoManifestWhenMetricsDisabled) {
   const OutDirGuard out_dir;
-  metrics::set_enabled(false);
   core::ExperimentOptions options;
   options.jobs = 1;
-  (void)core::run_voltage_sweep(
-      core::VoltageSweepSpec{core::RingSpec::iro(3), {1.2}, 10},
-      core::cyclone_iii(), options);
+  const core::VoltageSweepSpec spec{core::RingSpec::iro(3), {1.2}, 10};
+  // Neither with no scope at all nor under one that collects nothing.
+  (void)core::run_voltage_sweep(spec, core::cyclone_iii(), options);
+  {
+    const sim::Scope scope(sim::Collect{}, nullptr);
+    (void)core::run_voltage_sweep(spec, core::cyclone_iii(), options);
+  }
   std::FILE* f =
       std::fopen((out_dir.dir() + "/voltage_sweep.manifest.json").c_str(),
                  "rb");
@@ -485,24 +500,191 @@ TEST(Manifest, NoManifestWhenMetricsDisabled) {
   if (f != nullptr) std::fclose(f);
 }
 
+TEST(Manifest, FailedWriteNeverChangesTheReturnedManifest) {
+  const core::ExperimentDescriptor* entry = core::find_experiment("restart");
+  ASSERT_NE(entry, nullptr);
+  core::ExperimentOptions options;
+  options.jobs = 1;
+  const core::RunManifest reference =
+      entry->run_small(core::cyclone_iii(), options);
+  ASSERT_GT(reference.metrics.counter(metrics::Counter::events_fired), 0u);
+
+  // Poison this thread's last manifest, then fail the file write.
+  (void)core::find_experiment("voltage_sweep")
+      ->run_small(core::cyclone_iii(), options);
+  const OutDirGuard out_dir;
+  setenv("RINGENT_OUT_DIR", (out_dir.dir() + "/missing/dir").c_str(), 1);
+  const core::RunManifest failed =
+      entry->run_small(core::cyclone_iii(), options);
+  EXPECT_EQ(failed.experiment, "restart");
+  EXPECT_EQ(failed.metrics.counters, reference.metrics.counters);
+  EXPECT_EQ(failed.tasks, reference.tasks);
+  // The thread's last manifest is the run's too, written or not.
+  ASSERT_TRUE(core::last_run_manifest().has_value());
+  EXPECT_EQ(core::last_run_manifest()->experiment, "restart");
+}
+
+// --- observation scopes ------------------------------------------------------
+
+namespace {
+
+/// The fields of a manifest that do not depend on timing or scheduling.
+struct Counted {
+  metrics::Counts counters{};
+  std::size_t tasks = 0;
+  std::vector<std::pair<std::string, std::uint64_t>> phase_calls;
+
+  static Counted of(const core::RunManifest& m) {
+    Counted out{m.metrics.counters, m.tasks, {}};
+    for (const auto& phase : m.metrics.phases) {
+      out.phase_calls.emplace_back(phase.name, phase.calls);
+    }
+    return out;
+  }
+  bool operator==(const Counted&) const = default;
+};
+
+core::RunManifest run_default(const char* name, std::size_t jobs) {
+  const core::ExperimentDescriptor* entry = core::find_experiment(name);
+  RINGENT_REQUIRE(entry != nullptr, "unknown experiment");
+  core::ExperimentOptions options;
+  options.jobs = jobs;
+  return entry->run_small(core::cyclone_iii(), options);
+}
+
+}  // namespace
+
+TEST(Scope, ConcurrentRunSpecCallsObserveOnlyTheirOwnRuns) {
+  // Two threads run different experiments at once, each at jobs 2; each
+  // manifest must read exactly what a run on its own reads.
+  const Counted voltage = Counted::of(run_default("voltage_sweep", 2));
+  const Counted restart = Counted::of(run_default("restart", 2));
+  ASSERT_NE(voltage.counters, restart.counters);
+  for (int round = 0; round < 3; ++round) {
+    core::RunManifest a, b;
+    std::thread left([&] { a = run_default("voltage_sweep", 2); });
+    std::thread right([&] { b = run_default("restart", 2); });
+    left.join();
+    right.join();
+    EXPECT_TRUE(Counted::of(a) == voltage) << "round " << round;
+    EXPECT_TRUE(Counted::of(b) == restart) << "round " << round;
+  }
+}
+
+TEST(Scope, ConcurrentAttackRunsSeeOnlyTheirOwnStreams) {
+  // Two attack_resilience runs with telemetry on, each on its own thread
+  // under its own scope, over different rings: each scope's stream labels
+  // must name its own ring only.
+  const auto* entry = core::find_experiment("attack_resilience");
+  ASSERT_NE(entry, nullptr);
+  const auto paper = core::AttackResilienceSpec::paper_default();
+  ASSERT_GE(paper.rings.size(), 2u);
+  const OutDirGuard out_dir;
+  std::vector<std::string> labels[2];
+  std::thread runs[2];
+  for (std::size_t t = 0; t < 2; ++t) {
+    core::AttackResilienceSpec spec = paper;
+    spec.rings = {paper.rings[t]};
+    spec.scenarios = {paper.scenarios.at(0)};
+    spec.total_bits = 1500;
+    spec.with_backup = false;
+    runs[t] = std::thread([&, t, json = spec.to_json()] {
+      sim::ObserveSpec observe;
+      observe.telemetry =
+          out_dir.dir() + "/attack" + std::to_string(t) + ".jsonl";
+      const sim::Scope scope(sim::Collect::from(observe), nullptr);
+      core::ExperimentOptions options;
+      options.jobs = 2;
+      (void)entry->run_spec(json, core::cyclone_iii(), options);
+      for (const auto& stats : scope.streams()) {
+        labels[t].push_back(stats.label);
+      }
+    });
+  }
+  for (auto& run : runs) run.join();
+  for (std::size_t t = 0; t < 2; ++t) {
+    EXPECT_EQ(labels[t].size(), 2u) << t;  // :monitored and :raw
+    for (const auto& label : labels[t]) {
+      EXPECT_EQ(label.rfind(paper.rings[t].name() + "/", 0), 0u)
+          << "run " << t << " saw " << label;
+    }
+  }
+}
+
+TEST(Scope, RunSpecWithoutOutDirWritesNoFile) {
+  // With RINGENT_OUT_DIR unset, run_spec writes nothing anywhere: run it
+  // from an empty working directory and check it stays empty.
+  const OutDirGuard scratch;
+  unsetenv("RINGENT_OUT_DIR");
+  const std::filesystem::path cwd = std::filesystem::current_path();
+  std::filesystem::current_path(scratch.dir());
+  (void)run_default("restart", 1);
+  const bool empty = std::filesystem::is_empty(scratch.dir());
+  std::filesystem::current_path(cwd);
+  EXPECT_TRUE(empty);
+}
+
+// --- the --observe grammar ---------------------------------------------------
+
+TEST(Observe, ParsesEveryItemAndPrintsCanonically) {
+  std::vector<std::string> errors;
+  const sim::ObserveSpec spec = sim::parse_observe(
+      "telemetry=t.prom,metrics,trace=a=b.json", &errors);
+  EXPECT_TRUE(errors.empty());
+  EXPECT_TRUE(spec.metrics);
+  EXPECT_EQ(spec.trace, "a=b.json");  // only the first '=' splits
+  EXPECT_EQ(spec.telemetry, "t.prom");
+  EXPECT_EQ(sim::to_string(spec), "metrics,trace=a=b.json,telemetry=t.prom");
+  EXPECT_EQ(sim::parse_observe(sim::to_string(spec)), spec);
+  EXPECT_EQ(sim::to_string(sim::parse_observe("")), "");
+}
+
+TEST(Observe, ReportsUnknownKeysEmptyValuesAndRepeats) {
+  const auto errors_of = [](const char* text) {
+    std::vector<std::string> errors;
+    (void)sim::parse_observe(text, &errors);
+    return errors.size();
+  };
+  EXPECT_EQ(errors_of("metrics"), 0u);
+  EXPECT_EQ(errors_of("histograms"), 1u);   // unknown key
+  EXPECT_EQ(errors_of("trace="), 1u);       // empty value
+  EXPECT_EQ(errors_of("telemetry"), 1u);    // missing value
+  EXPECT_EQ(errors_of("metrics=1"), 1u);    // value on a flag
+  EXPECT_EQ(errors_of("metrics,,trace=x"), 1u);  // empty item
+  EXPECT_EQ(errors_of("metrics,"), 1u);     // trailing comma
+  EXPECT_EQ(errors_of("trace=a,trace=b"), 1u);
+  // A reported item is ignored; the rest still applies.
+  const sim::ObserveSpec spec = sim::parse_observe("bogus,metrics,trace=");
+  EXPECT_TRUE(spec.metrics);
+  EXPECT_TRUE(spec.trace.empty());
+}
+
 // --- trace spans -------------------------------------------------------------
+
+namespace {
+
+/// A scope that traces into a fresh file at `path`.
+sim::Collect traced(const std::string& path) {
+  sim::ObserveSpec observe;
+  observe.trace = path;
+  return sim::Collect::from(observe);
+}
+
+}  // namespace
 
 TEST(Trace, FileIsWellFormedAndBalanced) {
   const OutDirGuard out_dir;
   const std::string path = out_dir.dir() + "/trace.json";
-  trace::start(path);
-  ASSERT_TRUE(trace::enabled());
-  EXPECT_EQ(trace::current_path(), path);
-  EXPECT_THROW(trace::start(path), Error);  // one session at a time
-
   {
+    const sim::Scope scope(traced(path), nullptr);
+    ASSERT_TRUE(trace::enabled());
+    EXPECT_EQ(scope.collects().trace->path(), path);
     const trace::Span outer("outer", "bench");
     // Spans from pool workers land on their own tids.
     sim::parallel_for_each(6, 3, [&](std::size_t i) {
       const trace::Span inner("task " + std::to_string(i), "axis");
     });
   }
-  trace::stop();
   EXPECT_FALSE(trace::enabled());
 
   const Json doc = Json::parse(read_file(path));
@@ -545,16 +727,19 @@ TEST(Trace, FileIsWellFormedAndBalanced) {
 }
 
 TEST(Trace, StopBalancesSpansStillOpen) {
-  // Crash-safe contract: stop() synthesizes an E event for every span still
-  // open, so a trace ended mid-measurement (signal handler, atexit) still
-  // loads in Perfetto with balanced nesting.
+  // Crash-safe contract: close() synthesizes an E event for every span
+  // still open, so a trace ended mid-measurement still loads in Perfetto
+  // with balanced nesting.
   const OutDirGuard out_dir;
   const std::string path = out_dir.dir() + "/open_spans.json";
-  trace::start(path);
-  auto open_span = std::make_unique<trace::Span>("still-open", "bench");
-  { const trace::Span closed("closed", "bench"); }
-  trace::stop();
-  open_span.reset();  // dtor after stop: session-stale, must be a no-op
+  {
+    const sim::Scope scope(traced(path), nullptr);
+    auto open_span = std::make_unique<trace::Span>("still-open", "bench");
+    { const trace::Span closed("closed", "bench"); }
+    scope.collects().trace->close();
+    open_span.reset();  // ends after close(): must be a no-op
+    { const trace::Span late("late", "bench"); }  // so must a new span
+  }
 
   const Json doc = Json::parse(read_file(path));
   const Json& events = doc.at("traceEvents");
@@ -563,6 +748,7 @@ TEST(Trace, StopBalancesSpansStillOpen) {
   for (std::size_t i = 0; i < events.size(); ++i) {
     const Json& event = events.at(i);
     if (event.at("name").as_string() == "still-open") ++still_open_events;
+    EXPECT_NE(event.at("name").as_string(), "late");
     balance += event.at("ph").as_string() == "B" ? 1 : -1;
   }
   EXPECT_EQ(balance, 0);
@@ -572,19 +758,21 @@ TEST(Trace, StopBalancesSpansStillOpen) {
 TEST(Trace, PartialFileIsReadableMidSession) {
   // Every event is appended and flushed as it happens: a reader (or a crash)
   // that sees the file mid-session finds the header and all completed spans,
-  // not an empty buffer waiting for stop().
+  // not an empty buffer waiting for close().
   const OutDirGuard out_dir;
   const std::string path = out_dir.dir() + "/partial.json";
-  trace::start(path);
-  { const trace::Span span("early", "bench"); }
-  const std::string partial = read_file(path);
-  trace::stop();
+  std::string partial;
+  {
+    const sim::Scope scope(traced(path), nullptr);
+    { const trace::Span span("early", "bench"); }
+    partial = read_file(path);
+  }
 
   EXPECT_NE(partial.find("traceEvents"), std::string::npos);
   EXPECT_NE(partial.find("\"early\""), std::string::npos);
   EXPECT_NE(partial.find("\"B\""), std::string::npos);
   EXPECT_NE(partial.find("\"E\""), std::string::npos);
-  // The closing bracket only lands at stop().
+  // The closing bracket only lands when the file closes.
   EXPECT_EQ(partial.find("]}"), std::string::npos);
   EXPECT_NE(read_file(path).find("]}"), std::string::npos);
 }
@@ -592,64 +780,64 @@ TEST(Trace, PartialFileIsReadableMidSession) {
 TEST(Trace, SpansAreFreeWhenInactive) {
   ASSERT_FALSE(trace::enabled());
   { const trace::Span span("ignored", "bench"); }
-  trace::stop();  // no session: must be a no-op, not an error
+  const sim::Scope untraced(sim::Collect{.metrics = true}, nullptr);
   EXPECT_FALSE(trace::enabled());
+  { const trace::Span span("ignored", "bench"); }
 }
 
 // --- bench CLI ---------------------------------------------------------------
 
 TEST(BenchCli, ParsesSharedFlags) {
-  const char* argv_full[] = {"bench",   "--jobs", "4",         "--metrics",
-                             "--trace", "t.json", "leftover"};
+  const char* argv_full[] = {"bench",     "--jobs",
+                             "4",         "--observe",
+                             "metrics,trace=t.json", "leftover"};
   const bench::CliOptions full =
-      bench::parse_cli(7, const_cast<char**>(argv_full));
+      bench::parse_cli(6, const_cast<char**>(argv_full));
   EXPECT_EQ(full.jobs, 4u);
-  EXPECT_TRUE(full.metrics);
-  EXPECT_EQ(full.trace_path, "t.json");
+  EXPECT_TRUE(full.observe.metrics);
+  EXPECT_EQ(full.observe.trace, "t.json");
 
-  const char* argv_eq[] = {"bench", "--jobs=2", "--trace=x.json"};
+  const char* argv_eq[] = {"bench", "--jobs=2", "--observe=trace=x.json"};
   const bench::CliOptions eq =
       bench::parse_cli(3, const_cast<char**>(argv_eq));
   EXPECT_EQ(eq.jobs, 2u);
-  EXPECT_FALSE(eq.metrics);
-  EXPECT_EQ(eq.trace_path, "x.json");
+  EXPECT_FALSE(eq.observe.metrics);
+  EXPECT_EQ(eq.observe.trace, "x.json");
 
   const char* argv_none[] = {"bench"};
   const bench::CliOptions none =
       bench::parse_cli(1, const_cast<char**>(argv_none));
   EXPECT_EQ(none.jobs, 0u);
-  EXPECT_FALSE(none.metrics);
-  EXPECT_TRUE(none.trace_path.empty());
+  EXPECT_EQ(none.observe, sim::ObserveSpec{});
 
   // Malformed values degrade to the defaults rather than throwing; the
   // warnings they trigger are asserted in test_fuzz_regressions.cpp.
-  const char* argv_bad[] = {"bench", "--jobs", "potato", "--trace"};
+  const char* argv_bad[] = {"bench", "--jobs", "potato", "--observe"};
   const bench::CliOptions bad =
       bench::parse_cli(4, const_cast<char**>(argv_bad), /*diagnostics=*/nullptr);
   EXPECT_EQ(bad.jobs, 0u);
-  EXPECT_TRUE(bad.trace_path.empty());
+  EXPECT_EQ(bad.observe, sim::ObserveSpec{});
 }
 
 TEST(BenchCli, ParsesTelemetryFlag) {
-  const char* argv_split[] = {"bench", "--telemetry", "t.jsonl"};
+  const char* argv_split[] = {"bench", "--observe", "telemetry=t.jsonl"};
   const bench::CliOptions split =
       bench::parse_cli(3, const_cast<char**>(argv_split));
-  EXPECT_EQ(split.telemetry_path, "t.jsonl");
+  EXPECT_EQ(split.observe.telemetry, "t.jsonl");
 
-  const char* argv_eq[] = {"bench", "--telemetry=scrape.prom"};
+  const char* argv_eq[] = {"bench", "--observe=telemetry=scrape.prom"};
   const bench::CliOptions eq =
       bench::parse_cli(2, const_cast<char**>(argv_eq));
-  EXPECT_EQ(eq.telemetry_path, "scrape.prom");
+  EXPECT_EQ(eq.observe.telemetry, "scrape.prom");
 
-  // A trailing flag with no path degrades to "no telemetry", not a throw.
-  const char* argv_bad[] = {"bench", "--telemetry"};
-  const bench::CliOptions bad =
-      bench::parse_cli(2, const_cast<char**>(argv_bad), /*diagnostics=*/nullptr);
-  EXPECT_TRUE(bad.telemetry_path.empty());
-  const char* argv_bad_eq[] = {"bench", "--telemetry="};
-  const bench::CliOptions bad_eq = bench::parse_cli(
-      2, const_cast<char**>(argv_bad_eq), /*diagnostics=*/nullptr);
-  EXPECT_TRUE(bad_eq.telemetry_path.empty());
+  // A sink with no path degrades to "no telemetry", not a throw.
+  for (const char* arg : {"--observe=", "--observe=telemetry=",
+                          "--observe=telemetry"}) {
+    const char* argv_bad[] = {"bench", arg};
+    const bench::CliOptions bad = bench::parse_cli(
+        2, const_cast<char**>(argv_bad), /*diagnostics=*/nullptr);
+    EXPECT_TRUE(bad.observe.telemetry.empty()) << arg;
+  }
 }
 
 TEST(BenchCli, SessionStreamsBenchTotalSnapshot) {
@@ -657,12 +845,12 @@ TEST(BenchCli, SessionStreamsBenchTotalSnapshot) {
   const std::string path = out_dir.dir() + "/bench.jsonl";
   {
     bench::CliOptions options;
-    options.telemetry_path = path;
+    options.observe.telemetry = path;
     const bench::Session session(options, "unit-bench");
-    EXPECT_TRUE(core::telemetry_active());
     EXPECT_TRUE(sim::telemetry::enabled());
     sim::telemetry::record(sim::telemetry::Histogram::queue_depth, 3);
   }
+  EXPECT_FALSE(sim::telemetry::enabled());
   // Session's destructor appends the whole-binary summary snapshot.
   const std::string content = read_file(path);
   ASSERT_FALSE(content.empty());
@@ -673,9 +861,44 @@ TEST(BenchCli, SessionStreamsBenchTotalSnapshot) {
   ASSERT_EQ(snapshot.histograms.size(), 1u);
   EXPECT_EQ(snapshot.histograms[0].name, "queue_depth");
   EXPECT_EQ(snapshot.histograms[0].count, 1u);
-  core::set_telemetry_path("");
-  sim::telemetry::reset();
-  EXPECT_FALSE(core::telemetry_active());
+}
+
+TEST(BenchCli, SessionTotalIsTheSumOfItsDrivers) {
+  const OutDirGuard out_dir;
+  const std::string path = out_dir.dir() + "/drivers.jsonl";
+  {
+    bench::CliOptions options;
+    options.observe.telemetry = path;
+    const bench::Session session(options, "unit-bench");
+    core::ExperimentOptions run;
+    run.jobs = 2;
+    (void)core::run_voltage_sweep(
+        core::VoltageSweepSpec{core::RingSpec::iro(3), {1.1, 1.2}, 10},
+        core::cyclone_iii(), run);
+    (void)core::run_restart_experiment(
+        core::RestartSpec{core::RingSpec::iro(5), 8, 16},
+        core::cyclone_iii(), run);
+  }
+  std::vector<core::TelemetrySnapshot> lines;
+  std::istringstream in(read_file(path));
+  for (std::string line; std::getline(in, line);) {
+    lines.push_back(core::TelemetrySnapshot::from_json(Json::parse(line)));
+  }
+  ASSERT_EQ(lines.size(), 3u);
+  EXPECT_EQ(lines[2].experiment, "unit-bench-total");
+  for (const auto& total : lines[2].histograms) {
+    std::uint64_t count = 0, sum = 0;
+    for (std::size_t d = 0; d < 2; ++d) {
+      for (const auto& h : lines[d].histograms) {
+        if (h.name != total.name) continue;
+        count += h.count;
+        sum += h.sum;
+      }
+    }
+    EXPECT_EQ(total.count, count) << total.name;
+    EXPECT_EQ(total.sum, sum) << total.name;
+  }
+  EXPECT_FALSE(lines[2].histograms.empty());
 }
 
 TEST(BenchCli, SessionAppliesFlagsAndFlushesTrace) {
@@ -683,18 +906,17 @@ TEST(BenchCli, SessionAppliesFlagsAndFlushesTrace) {
   const std::string path = out_dir.dir() + "/session.json";
   {
     bench::CliOptions options;
-    options.metrics = true;
-    options.trace_path = path;
+    options.observe.metrics = true;
+    options.observe.trace = path;
     const bench::Session session(options, "unit-bench");
     EXPECT_TRUE(metrics::enabled());
     EXPECT_TRUE(trace::enabled());
   }
-  // Session owns the trace it started and must flush it on destruction.
+  // Session closes the trace it opened on destruction.
+  EXPECT_FALSE(metrics::enabled());
   EXPECT_FALSE(trace::enabled());
   const Json doc = Json::parse(read_file(path));
   ASSERT_GE(doc.at("traceEvents").size(), 2u);
   EXPECT_EQ(doc.at("traceEvents").at(std::size_t{0}).at("name").as_string(),
             "unit-bench");
-  metrics::set_enabled(false);
-  metrics::reset();
 }

@@ -1,6 +1,6 @@
 // The experiment registry is the CLI's dispatch surface: every driver must
 // be present exactly once, lookups must be total, and run_small must hand
-// back the driver's own run manifest without leaking global metrics state.
+// back the driver's own run manifest, observed in a scope of its own.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -8,11 +8,14 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "common/json.hpp"
 #include "core/export.hpp"
 #include "core/registry.hpp"
 #include "sim/metrics.hpp"
+#include "sim/observe.hpp"
 #include "sim/telemetry.hpp"
 
 using namespace ringent;
@@ -58,15 +61,16 @@ TEST(Registry, FindExperimentIsTotal) {
 }
 
 TEST(Registry, RunSmallReturnsTheDriversManifestAndRestoresMetricsState) {
-  // Metrics are off going in; run_small must flip them on for the driver
-  // (so a manifest exists), then put the world back exactly as it was.
-  ASSERT_FALSE(sim::metrics::enabled());
+  // No scope is current going in; run_small must observe the driver in a
+  // scope of its own (so a manifest exists), then leave none behind.
+  ASSERT_EQ(sim::Scope::current(), nullptr);
   const ExperimentDescriptor* exp = find_experiment("restart");
   ASSERT_NE(exp, nullptr);
 
   ExperimentOptions options;
   options.jobs = 2;
   const RunManifest manifest = exp->run_small(cyclone_iii(), options);
+  EXPECT_EQ(sim::Scope::current(), nullptr);
   EXPECT_FALSE(sim::metrics::enabled());
 
   EXPECT_EQ(manifest.experiment, "restart");
@@ -83,43 +87,44 @@ TEST(Registry, EveryDriverStreamsATelemetrySnapshot) {
   // histogram summaries in its manifest.
   const std::string path = "registry_telemetry_sink.jsonl";
   std::remove(path.c_str());
-  set_telemetry_path(path);
-  ASSERT_TRUE(telemetry_active());
-
   ExperimentOptions options;
   options.jobs = 1;
-  std::size_t runs = 0;
-  for (const auto& entry : experiment_registry()) {
-    const RunManifest manifest = entry.run_small(cyclone_iii(), options);
-    ++runs;
-
-    const auto last = last_telemetry_snapshot();
-    ASSERT_TRUE(last.has_value()) << entry.name;
-    // Some drivers suffix the slug with the ring kind (jitter_vs_stages_iro).
-    EXPECT_EQ(last->experiment.rfind(entry.name, 0), 0u)
-        << last->experiment << " vs " << entry.name;
-    EXPECT_FALSE(last->histograms.empty()) << entry.name;
-    EXPECT_EQ(manifest.telemetry.size(), last->histograms.size())
-        << entry.name;
+  std::vector<std::pair<std::string, RunManifest>> runs;
+  {
+    sim::ObserveSpec observe;
+    observe.telemetry = path;
+    const sim::Scope scope(sim::Collect::from(observe), nullptr);
+    ASSERT_TRUE(sim::telemetry::enabled());
+    for (const auto& entry : experiment_registry()) {
+      runs.emplace_back(entry.name, entry.run_small(cyclone_iii(), options));
+    }
   }
+  EXPECT_FALSE(sim::telemetry::enabled());
 
-  set_telemetry_path("");
-  sim::telemetry::reset();
-
-  // The sink file is one parseable snapshot line per driver run.
+  // The sink file is one parseable snapshot line per driver run, in order.
   std::ifstream in(path);
   ASSERT_TRUE(in.good());
   std::string line;
-  std::set<std::string> experiments;
-  std::size_t lines = 0;
+  std::vector<TelemetrySnapshot> snapshots;
   while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    ++lines;
-    experiments.insert(
-        TelemetrySnapshot::from_json(Json::parse(line)).experiment);
+    if (!line.empty()) {
+      snapshots.push_back(TelemetrySnapshot::from_json(Json::parse(line)));
+    }
   }
   in.close();
   std::remove(path.c_str());
-  EXPECT_EQ(lines, runs);
-  EXPECT_EQ(experiments.size(), runs);  // one distinct slug per driver
+  ASSERT_EQ(snapshots.size(), runs.size());
+  std::set<std::string> experiments;
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    const auto& [name, manifest] = runs[i];
+    const TelemetrySnapshot& snapshot = snapshots[i];
+    // Some drivers suffix the slug with the ring kind (jitter_vs_stages_iro).
+    EXPECT_EQ(snapshot.experiment.rfind(name, 0), 0u)
+        << snapshot.experiment << " vs " << name;
+    EXPECT_EQ(snapshot.sequence, i);
+    EXPECT_FALSE(snapshot.histograms.empty()) << name;
+    EXPECT_EQ(manifest.telemetry.size(), snapshot.histograms.size()) << name;
+    experiments.insert(snapshot.experiment);
+  }
+  EXPECT_EQ(experiments.size(), runs.size());  // one distinct slug per driver
 }

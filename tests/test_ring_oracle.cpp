@@ -25,6 +25,7 @@
 #include "ring/iro.hpp"
 #include "ring/str.hpp"
 #include "sim/metrics.hpp"
+#include "sim/observe.hpp"
 #include "sim/telemetry.hpp"
 
 using namespace ringent;
@@ -53,24 +54,17 @@ fpga::VoltageLaws test_laws() {
                            fpga::DelayVoltageLaw(0.65, 1.2, 0.0)};
 }
 
-/// Counters and histograms of one run, from a clean slate.
+/// Counters and histograms of one run, in a scope of its own.
 struct Observed {
   metrics::Snapshot counters;
   telemetry::Snapshot histograms;
 };
 
 Observed observe(const std::function<void()>& run) {
-  metrics::set_enabled(true);
-  telemetry::set_enabled(true);
-  metrics::reset();
-  telemetry::reset();
+  const sim::Scope scope(sim::Collect{.metrics = true, .histograms = true},
+                         nullptr);
   run();
-  Observed out{metrics::snapshot(), telemetry::snapshot()};
-  metrics::set_enabled(false);
-  telemetry::set_enabled(false);
-  metrics::reset();
-  telemetry::reset();
-  return out;
+  return {scope.metrics(), scope.histograms()};
 }
 
 void expect_same_observations(const Observed& ring, const Observed& ref) {

@@ -10,6 +10,7 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -21,6 +22,7 @@
 #include "core/experiments.hpp"
 #include "core/export.hpp"
 #include "sim/metrics.hpp"
+#include "sim/observe.hpp"
 #include "sim/telemetry.hpp"
 #include "trng/telemetry.hpp"
 
@@ -30,21 +32,22 @@ namespace stream = ringent::trng::telemetry;
 
 namespace {
 
-/// RAII guard: telemetry collection on, registry clean before and after, and
-/// any sink path removed, so tests cannot leak state into each other.
-class TelemetryScope {
+/// An observation scope collecting histograms (and stream stats), current
+/// for the lifetime of the test that opens it.
+class TelemetryScope : public sim::Scope {
  public:
-  TelemetryScope() {
-    histo::reset();
-    histo::set_enabled(true);
-  }
-  ~TelemetryScope() {
-    histo::set_enabled(false);
-    histo::reset();
-    core::set_telemetry_path("");
-    stream::take_published();  // drain anything a failed test left behind
-  }
+  TelemetryScope() : sim::Scope(sim::Collect{.histograms = true}, nullptr) {}
 };
+
+/// The last snapshot line of a JSONL sink file.
+core::TelemetrySnapshot last_line(const std::string& content) {
+  std::istringstream in(content);
+  std::string line, last;
+  while (std::getline(in, line)) {
+    if (!line.empty()) last = line;
+  }
+  return core::TelemetrySnapshot::from_json(Json::parse(last));
+}
 
 std::string read_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -123,7 +126,7 @@ TEST(TelemetryQuantiles, ExactForSmallValues) {
     histo::record(histo::Histogram::queue_depth, v);
   }
   const auto h =
-      histo::snapshot().histogram(histo::Histogram::queue_depth);
+      scope.histograms().histogram(histo::Histogram::queue_depth);
   ASSERT_EQ(h.count, values.size());
   for (const double q : {0.01, 0.25, 0.5, 0.9, 0.99, 1.0}) {
     EXPECT_EQ(h.quantile(q), exact_quantile(values, q)) << "q=" << q;
@@ -146,7 +149,7 @@ TEST(TelemetryQuantiles, RelativeErrorBoundedForLargeValues) {
     histo::record(histo::Histogram::event_gap_fs, v);
   }
   const auto h =
-      histo::snapshot().histogram(histo::Histogram::event_gap_fs);
+      scope.histograms().histogram(histo::Histogram::event_gap_fs);
   ASSERT_EQ(h.count, values.size());
   for (const double q : {0.05, 0.5, 0.9, 0.99, 0.999}) {
     const std::uint64_t exact = exact_quantile(values, q);
@@ -168,7 +171,7 @@ TEST(TelemetryQuantiles, SumAndMeanAreExact) {
     sum += v;
   }
   const auto h =
-      histo::snapshot().histogram(histo::Histogram::charlie_delay_fs);
+      scope.histograms().histogram(histo::Histogram::charlie_delay_fs);
   EXPECT_EQ(h.sum, sum);
   EXPECT_DOUBLE_EQ(h.mean(), static_cast<double>(sum) / 100.0);
 }
@@ -176,73 +179,66 @@ TEST(TelemetryQuantiles, SumAndMeanAreExact) {
 // --- collection switch ------------------------------------------------------
 
 TEST(TelemetryRegistry, RecordIsIgnoredWhenDisabled) {
-  histo::set_enabled(false);
-  histo::reset();
+  // No scope at all: the probe is a no-op.
   ASSERT_FALSE(histo::enabled());
   histo::record(histo::Histogram::event_gap_fs, 42);
-  const auto snap = histo::snapshot();
+  // A scope that collects metrics only has no histogram storage to fill.
+  const sim::Scope scope(sim::Collect{.metrics = true}, nullptr);
+  ASSERT_FALSE(histo::enabled());
+  histo::record(histo::Histogram::event_gap_fs, 42);
+  const auto snap = scope.histograms();
   for (std::size_t h = 0; h < histo::histogram_count; ++h) {
     EXPECT_EQ(snap.counts[h], 0u);
   }
 }
 
-TEST(TelemetryRegistry, DeltaSinceIsolatesARun) {
+TEST(TelemetryRegistry, ScopeIsolatesARun) {
   TelemetryScope scope;
   histo::record(histo::Histogram::queue_depth, 1);
-  const auto before = histo::snapshot();
-  histo::record(histo::Histogram::queue_depth, 2);
-  histo::record(histo::Histogram::queue_depth, 2);
-  const auto delta = histo::snapshot().delta_since(before);
-  const auto h = delta.histogram(histo::Histogram::queue_depth);
-  EXPECT_EQ(h.count, 2u);
-  EXPECT_EQ(h.sum, 4u);
-  ASSERT_EQ(h.buckets.size(), 1u);
-  EXPECT_EQ(h.buckets[0].first, 2u);
-  EXPECT_EQ(h.buckets[0].second, 2u);
+  {
+    const sim::Scope run;  // a child: collects what `scope` collects
+    histo::record(histo::Histogram::queue_depth, 2);
+    histo::record(histo::Histogram::queue_depth, 2);
+    const auto h = run.histograms().histogram(histo::Histogram::queue_depth);
+    EXPECT_EQ(h.count, 2u);
+    EXPECT_EQ(h.sum, 4u);
+    ASSERT_EQ(h.buckets.size(), 1u);
+    EXPECT_EQ(h.buckets[0].first, 2u);
+    EXPECT_EQ(h.buckets[0].second, 2u);
+  }
+  // Closing the child added its observations into the parent.
+  const auto total = scope.histograms().histogram(histo::Histogram::queue_depth);
+  EXPECT_EQ(total.count, 3u);
+  EXPECT_EQ(total.sum, 5u);
 }
 
-TEST(TelemetryRegistry, ExitedThreadsRetireTheirBlocksWithExactTotals) {
+TEST(TelemetryRegistry, ExitedThreadsLeaveExactTotalsInTheirParentScope) {
   namespace metrics = sim::metrics;
-  TelemetryScope scope;
-  const bool metrics_were_enabled = metrics::enabled();
-  metrics::reset();
-  metrics::set_enabled(true);
-  const std::size_t metric_blocks = metrics::detail::registered_blocks();
-  const std::size_t histogram_blocks = histo::detail::registered_blocks();
+  sim::Scope scope(sim::Collect{.metrics = true, .histograms = true}, nullptr);
 
-  // One short-lived thread at a time: each registers a block of each kind,
-  // counts, and exits before the next starts.
+  // One short-lived thread at a time: each counts under a child of `scope`
+  // and exits, adding its totals into `scope` as its child closes.
   constexpr std::uint64_t kThreads = 64;
   for (std::uint64_t t = 0; t < kThreads; ++t) {
-    std::thread worker([t] {
+    std::thread worker([&scope, t] {
+      const sim::Scope child(scope.collects(), &scope);
       metrics::bump(metrics::Counter::pool_tasks, t + 1);
       histo::record(histo::Histogram::queue_depth, t);
     });
     worker.join();
   }
 
-  EXPECT_EQ(metrics::detail::registered_blocks(), metric_blocks);
-  EXPECT_EQ(histo::detail::registered_blocks(), histogram_blocks);
-  EXPECT_EQ(metrics::snapshot().counter(metrics::Counter::pool_tasks),
+  EXPECT_EQ(scope.metrics().counter(metrics::Counter::pool_tasks),
             kThreads * (kThreads + 1) / 2);
   const auto depth =
-      histo::snapshot().histogram(histo::Histogram::queue_depth);
+      scope.histograms().histogram(histo::Histogram::queue_depth);
   EXPECT_EQ(depth.count, kThreads);
   EXPECT_EQ(depth.sum, kThreads * (kThreads - 1) / 2);
-
-  // reset() clears what exited threads left behind, too.
-  metrics::reset();
-  histo::reset();
-  EXPECT_EQ(metrics::snapshot().counter(metrics::Counter::pool_tasks), 0u);
-  EXPECT_EQ(histo::snapshot().histogram(histo::Histogram::queue_depth).count,
-            0u);
-  metrics::set_enabled(metrics_were_enabled);
 }
 
 // --- determinism across worker counts ---------------------------------------
 
 TEST(TelemetryRegistry, SimulatedDomainHistogramsAreBitExactAcrossJobs) {
-  TelemetryScope scope;
   const auto& cal = core::cyclone_iii();
   // An STR sweep exercises Charlie evaluations as well as the event path.
   core::JitterSweepSpec sweep;
@@ -256,9 +252,9 @@ TEST(TelemetryRegistry, SimulatedDomainHistogramsAreBitExactAcrossJobs) {
   std::size_t slot = 0;
   for (const std::size_t jobs : {std::size_t{1}, std::size_t{4}}) {
     options.jobs = jobs;
-    const auto before = histo::snapshot();
+    const TelemetryScope scope;
     core::run_jitter_vs_stages(sweep, cal, options);
-    deltas[slot++] = histo::snapshot().delta_since(before);
+    deltas[slot++] = scope.histograms();
   }
 
   for (std::size_t h = 0; h < histo::histogram_count; ++h) {
@@ -367,16 +363,19 @@ TEST(StreamingEntropy, BalancedMemorylessStreamIsNearOneBit) {
 }
 
 TEST(StreamingEntropy, PublishDrainsSortedByLabel) {
-  stream::take_published();  // start clean
   stream::StreamingEntropy s({8, 1});
   s.feed(1);
+  stream::publish(stream::StreamStats::capture("dropped", s));  // no scope
+  TelemetryScope scope;
   stream::publish(stream::StreamStats::capture("z-cell", s));
-  stream::publish(stream::StreamStats::capture("a-cell", s));
-  const auto drained = stream::take_published();
-  ASSERT_EQ(drained.size(), 2u);
-  EXPECT_EQ(drained[0].label, "a-cell");
-  EXPECT_EQ(drained[1].label, "z-cell");
-  EXPECT_TRUE(stream::take_published().empty());
+  {
+    const sim::Scope child;  // a child's streams reach the parent on close
+    stream::publish(stream::StreamStats::capture("a-cell", s));
+  }
+  const auto streams = scope.streams();
+  ASSERT_EQ(streams.size(), 2u);
+  EXPECT_EQ(streams[0].label, "a-cell");
+  EXPECT_EQ(streams[1].label, "z-cell");
 }
 
 // --- snapshot schema --------------------------------------------------------
@@ -487,15 +486,13 @@ TEST(TelemetrySnapshot, ManifestEmbedsSummariesOnlyWhenPresent) {
 
 // --- sinks ------------------------------------------------------------------
 
-TEST(TelemetrySink, AppendsJsonlAndRemembersLastSnapshot) {
-  TelemetryScope scope;
+TEST(TelemetrySink, AppendsJsonlWithPerSinkSequence) {
   const std::string path = "telemetry_test_sink.jsonl";
   std::remove(path.c_str());
-  core::set_telemetry_path(path);
-  ASSERT_TRUE(core::telemetry_active());
+  sim::TelemetrySink sink(path);
 
-  core::append_telemetry_snapshot(sample_snapshot());
-  core::append_telemetry_snapshot(sample_snapshot());
+  core::append_telemetry_snapshot(sink, sample_snapshot());
+  core::append_telemetry_snapshot(sink, sample_snapshot());
 
   const std::string content = read_file(path);
   std::size_t lines = 0;
@@ -510,35 +507,40 @@ TEST(TelemetrySink, AppendsJsonlAndRemembersLastSnapshot) {
   }
   EXPECT_EQ(lines, 2u);
   ASSERT_EQ(sequences.size(), 2u);
-  EXPECT_EQ(sequences[1], sequences[0] + 1);  // per-process counter
-
-  const auto last = core::last_telemetry_snapshot();
-  ASSERT_TRUE(last.has_value());
-  EXPECT_EQ(last->sequence, sequences[1]);
+  EXPECT_EQ(sequences[0], 0u);  // the sink numbers its own snapshots
+  EXPECT_EQ(sequences[1], 1u);
   std::remove(path.c_str());
 }
 
 TEST(TelemetrySink, PromSuffixSelectsPrometheusExposition) {
-  TelemetryScope scope;
   const std::string path = "telemetry_test_sink.prom";
   std::remove(path.c_str());
-  core::set_telemetry_path(path);
-  core::append_telemetry_snapshot(sample_snapshot());
+  sim::TelemetrySink sink(path);
+  core::append_telemetry_snapshot(sink, sample_snapshot());
+  core::append_telemetry_snapshot(sink, sample_snapshot());
   const std::string content = read_file(path);
   EXPECT_NE(content.find("# TYPE ringent_rct_run_length histogram"),
             std::string::npos);
   EXPECT_NE(content.find("ringent_rct_run_length_count 100"),
             std::string::npos);
+  // Scrape-file mode: the latest snapshot replaced the first.
+  EXPECT_EQ(content.find("ringent_rct_run_length_count 100"),
+            content.rfind("ringent_rct_run_length_count 100"));
   std::remove(path.c_str());
 }
 
 TEST(TelemetrySink, PathSwitchFlipsCollection) {
-  core::set_telemetry_path("some_sink.jsonl");
-  EXPECT_TRUE(histo::enabled());
-  EXPECT_TRUE(core::telemetry_active());
-  core::set_telemetry_path("");
+  // A scope with a sink collects histograms; closing it turns them off.
   EXPECT_FALSE(histo::enabled());
-  EXPECT_FALSE(core::telemetry_active());
+  {
+    const sim::Scope scope(
+        sim::Collect{.telemetry =
+                         std::make_shared<sim::TelemetrySink>("unused.jsonl")},
+        nullptr);
+    EXPECT_TRUE(histo::enabled());
+    EXPECT_TRUE(scope.collects().histograms);
+  }
+  EXPECT_FALSE(histo::enabled());
 }
 
 // --- prometheus exposition --------------------------------------------------
@@ -569,10 +571,11 @@ TEST(TelemetryPrometheus, CumulativeBucketsAndGauges) {
 // --- attached streams on the resilience path --------------------------------
 
 TEST(TelemetryIntegration, AttackDriverPublishesStreamsAndHistograms) {
-  TelemetryScope scope;
   const std::string path = "telemetry_test_attack.jsonl";
   std::remove(path.c_str());
-  core::set_telemetry_path(path);
+  sim::ObserveSpec observe;
+  observe.telemetry = path;
+  const sim::Scope scope(sim::Collect::from(observe), nullptr);
 
   auto spec = core::AttackResilienceSpec::paper_default();
   spec.rings = {spec.rings.front()};
@@ -585,26 +588,24 @@ TEST(TelemetryIntegration, AttackDriverPublishesStreamsAndHistograms) {
       core::run_attack_resilience(spec, core::cyclone_iii(), options);
   ASSERT_EQ(result.cells.size(), 1u);
 
-  const auto last = core::last_telemetry_snapshot();
-  ASSERT_TRUE(last.has_value());
-  EXPECT_EQ(last->experiment, "attack_resilience");
-  EXPECT_GT(last->wall_ms, 0.0);
+  const std::string content = read_file(path);
+  const core::TelemetrySnapshot last = last_line(content);
+  EXPECT_EQ(last.experiment, "attack_resilience");
+  EXPECT_GT(last.wall_ms, 0.0);
   // The health monitor feeds the run-length histogram while bits flow.
   bool saw_rct = false;
-  for (const auto& h : last->histograms) {
+  for (const auto& h : last.histograms) {
     EXPECT_GT(h.count, 0u);
     if (h.name == "rct_run_length") saw_rct = true;
   }
   EXPECT_TRUE(saw_rct);
   // One cell publishes a raw and a monitored stream, sorted by label.
-  ASSERT_EQ(last->streams.size(), 2u);
-  EXPECT_NE(last->streams[0].label.find(":monitored"), std::string::npos);
-  EXPECT_NE(last->streams[1].label.find(":raw"), std::string::npos);
-  EXPECT_GT(last->streams[1].bits, 0u);
-
-  // The sink file holds the same snapshot as the last JSONL line.
-  const std::string content = read_file(path);
-  EXPECT_NE(content.find("\"attack_resilience\""), std::string::npos);
+  ASSERT_EQ(last.streams.size(), 2u);
+  EXPECT_NE(last.streams[0].label.find(":monitored"), std::string::npos);
+  EXPECT_NE(last.streams[1].label.find(":raw"), std::string::npos);
+  EXPECT_GT(last.streams[1].bits, 0u);
+  // The driver's streams also reached the enclosing scope.
+  EXPECT_EQ(scope.streams().size(), 2u);
   std::remove(path.c_str());
 }
 
