@@ -8,7 +8,7 @@
 #include <vector>
 
 #include "analysis/regression.hpp"
-#include "cli.hpp"
+#include "common/require.hpp"
 #include "core/experiments.hpp"
 #include "core/export.hpp"
 #include "core/report.hpp"
@@ -18,15 +18,12 @@
 using namespace ringent;
 using namespace ringent::core;
 
-int main(int argc, char** argv) {
+int main() {
   const auto& cal = cyclone_iii();
   const std::vector<std::size_t> stages = {3, 5, 9, 15, 25, 40, 60, 80};
 
-  const bench::CliOptions cli = bench::parse_cli(argc, argv);
-  const bench::Session session(cli, "fig11_iro_jitter_vs_stages");
   ExperimentOptions options;
   options.board_index = 0;
-  options.jobs = cli.jobs;
   JitterSweepSpec sweep;
   sweep.kind = RingKind::iro;
   sweep.stage_counts = stages;
@@ -35,7 +32,8 @@ int main(int argc, char** argv) {
   std::printf("# Fig. 11 reproduction: IRO period jitter vs number of "
               "stages\n");
   std::printf("# expected: sigma_p = sqrt(2k) sigma_g with sigma_g ~ 2 ps\n");
-  bench::print_banner(cli);
+  std::printf("# jobs: %zu (set RINGENT_JOBS to override)\n",
+              sim::resolve_jobs(0));
   std::printf("\n");
 
   const auto points = run_jitter_vs_stages(sweep, cal, options);
@@ -52,7 +50,16 @@ int main(int argc, char** argv) {
                    fmt_ps(measure::iro_sigma_p_ps(2.0, p.stages))});
   }
   std::printf("%s\n", table.str().c_str());
-  write_artifact("fig11_iro_jitter", table, "IRO sigma_p vs stages through the instrument chain");
+  // A CSV that cannot be written is reported and fails the run once the
+  // figure is printed.
+  int status = 0;
+  try {
+    write_artifact("fig11_iro_jitter", table,
+                   "IRO sigma_p vs stages through the instrument chain");
+  } catch (const Error& error) {
+    std::fprintf(stderr, "error: %s\n", error.what());
+    status = 1;
+  }
 
   const auto sqrt_fit = analysis::sqrt_law_fit(ks, sigmas);
   const auto power_fit = analysis::power_law_fit(ks, sigmas);
@@ -62,5 +69,5 @@ int main(int argc, char** argv) {
               sqrt_fit.coefficient / std::sqrt(2.0));
   std::printf("free-exponent fit: sigma_p ~ k^%.3f   (paper/Eq. 4: 0.5)\n",
               power_fit.exponent);
-  return 0;
+  return status;
 }

@@ -12,7 +12,7 @@
 #include <vector>
 
 #include "analysis/regression.hpp"
-#include "cli.hpp"
+#include "common/require.hpp"
 #include "core/experiments.hpp"
 #include "core/export.hpp"
 #include "core/report.hpp"
@@ -22,15 +22,12 @@
 using namespace ringent;
 using namespace ringent::core;
 
-int main(int argc, char** argv) {
+int main() {
   const auto& cal = cyclone_iii();
   const std::vector<std::size_t> stages = {4, 8, 16, 24, 32, 48, 64, 96};
 
-  const bench::CliOptions cli = bench::parse_cli(argc, argv);
-  const bench::Session session(cli, "fig12_str_jitter_vs_stages");
   ExperimentOptions options;
   options.board_index = 0;
-  options.jobs = cli.jobs;
   JitterSweepSpec sweep;
   sweep.kind = RingKind::str;
   sweep.stage_counts = stages;
@@ -38,7 +35,8 @@ int main(int argc, char** argv) {
 
   std::printf("# Fig. 12 reproduction: STR period jitter vs number of "
               "stages\n");
-  bench::print_banner(cli);
+  std::printf("# jobs: %zu (set RINGENT_JOBS to override)\n",
+              sim::resolve_jobs(0));
   std::printf("# expected: flat in L (paper band 2-4 ps), vs sqrt(2L)*2ps for "
               "an IRO\n# sqrt(2) sigma_g = %s\n\n",
               fmt_ps(measure::str_sigma_p_ps(cal.sigma_g_ps)).c_str());
@@ -56,7 +54,16 @@ int main(int argc, char** argv) {
                    fmt_ps(measure::iro_sigma_p_ps(2.0, p.stages))});
   }
   std::printf("%s\n", table.str().c_str());
-  write_artifact("fig12_str_jitter", table, "STR sigma_p vs stages: truth + diffusion readout");
+  // A CSV that cannot be written is reported and fails the run once the
+  // figure is printed.
+  int status = 0;
+  try {
+    write_artifact("fig12_str_jitter", table,
+                   "STR sigma_p vs stages: truth + diffusion readout");
+  } catch (const Error& error) {
+    std::fprintf(stderr, "error: %s\n", error.what());
+    status = 1;
+  }
 
   const auto fit = analysis::power_law_fit(ls, truth);
   std::printf("scaling fit: sigma_p ~ L^%.3f   (paper/Eq. 5: 0; an IRO "
@@ -66,5 +73,5 @@ int main(int argc, char** argv) {
       *std::max_element(truth.begin(), truth.end()) -
       *std::min_element(truth.begin(), truth.end());
   std::printf("flatness: max-min over 4..96 stages = %.2f ps\n", spread);
-  return 0;
+  return status;
 }

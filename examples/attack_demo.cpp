@@ -168,6 +168,7 @@ int main() {
       " * a health-monitored generator turns the physics into an action:\n"
       "   the IRO's RCT alarms mid-attack and the pipeline mutes, re-locks\n"
       "   and recovers, while the matched STR never leaves healthy —\n"
-      "   bench/ext_attack_resilience sweeps the full scenario matrix.\n");
+      "   `ringent_cli run examples/plans/figures/ext_attack_resilience.json`\n"
+      "   sweeps the full scenario matrix.\n");
   return 0;
 }

@@ -1,36 +1,40 @@
 // ringent_cli — command-line front end over the characterization library.
 //
 //   ringent_cli characterize str 96 [--periods 20000] [--board 0] [--seed S]
-//   ringent_cli sweep-voltage iro 5 [--from 1.0] [--to 1.4] [--step 0.05]
-//   ringent_cli sweep-temperature str 96 [--from -20] [--to 85] [--step 15]
-//   ringent_cli modes 32 [--charlie-scale 1.0] [--clustered]
 //   ringent_cli predict 32 10            (analytic steady state, no sim)
 //   ringent_cli trng str 24 [--rate-mhz 4] [--bits 16384]
 //   ringent_cli vcd str 16 --out ring.vcd [--tokens 4] [--clustered]
 //   ringent_cli serve-bench [--slots 4] [--max-workers 4] [--conditioner lfsr]
 //   ringent_cli --list                   (enumerate registered experiments)
 //   ringent_cli run <experiment> [--spec FILE] [--seed S] [--jobs N]
+//   ringent_cli run <plan.json> [--jobs N]
 //   ringent_cli campaign run <plan.json> [--dir DIR] [--shard i/N]
 //               [--jobs N] [--max-cells N]
 //   ringent_cli campaign status <plan.json> [--dir DIR]
 //   ringent_cli campaign verify <plan.json> [--dir DIR]
 //
-// Every command takes `--observe SPEC`, the observation grammar the bench
-// binaries share (sim::parse_observe): a comma-separated list of `metrics`,
-// `trace=FILE` (Chrome trace of driver/axis/pool spans) and
+// Every command takes `--observe SPEC` (sim::parse_observe): a
+// comma-separated list of `metrics`, `trace=FILE` (Chrome trace of
+// driver/axis/pool spans) and
 // `telemetry=FILE` (one "ringent.telemetry/1" snapshot per driver run; a
 // .prom FILE selects the Prometheus text format). An unusable SPEC is a
-// usage error.
+// usage error, as is a numeric flag that is not a plain number (`--jobs
+// banana`, `--seed 12abc`).
 //
 // `run` dispatches through core::experiment_registry(): it executes the
 // named driver's small default spec — or, with --spec FILE, the JSON spec
 // document in FILE (unknown/missing keys are rejected with the experiment's
-// schema name) — with metrics on and prints the run manifest the driver
-// built (also written to RINGENT_OUT_DIR when that is set). With
-// `--observe metrics` it additionally prints the full
-// counter/phase/histogram breakdown as a human-readable table on stderr
-// (stdout keeps the stable manifest summary, so scripts scraping it are
-// unaffected).
+// schema name) — with metrics on, prints the driver's rendered result
+// (core/render.hpp: a table plus its headline fits), then the run manifest
+// the driver built. With RINGENT_OUT_DIR set, the manifest and the table
+// (as CSV) are also written there, both named after the manifest's
+// experiment slug. Given a campaign plan instead of a name, `run` expands
+// it (campaign::expand_plan) and does the same for every cell in plan
+// order, with no store: examples/plans/figures/ holds one plan per paper
+// table or figure built from registered experiments. With `--observe
+// metrics` it additionally prints the full counter/phase/histogram
+// breakdown as a human-readable table on stderr (stdout keeps the stable
+// manifest summary, so scripts scraping it are unaffected).
 //
 // `campaign run` expands the plan into content-addressed cells and executes
 // only the ones the store (DIR, default <plan-stem>.campaign) has no valid
@@ -43,6 +47,7 @@
 //
 // Exit code 0 on success, 2 on usage errors, 1 on runtime errors.
 #include <algorithm>
+#include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -68,6 +73,7 @@
 #include "core/report.hpp"
 #include "sim/metrics.hpp"
 #include "sim/observe.hpp"
+#include "sim/parallel.hpp"
 #include "measure/frequency.hpp"
 #include "ring/analytic.hpp"
 #include "ring/mode.hpp"
@@ -83,7 +89,27 @@ using namespace ringent::core;
 
 namespace {
 
+/// A command-line value no command can use; main() prints it and exits 2.
+struct UsageError : Error {
+  using Error::Error;
+};
+
+/// Plain decimal digits that fit in 64 bits (no sign, no blanks).
+bool parse_unsigned(const std::string& text, std::uint64_t& out) {
+  if (text.empty() ||
+      text.find_first_not_of("0123456789") != std::string::npos) {
+    return false;
+  }
+  errno = 0;
+  const unsigned long long value = std::strtoull(text.c_str(), nullptr, 10);
+  if (errno == ERANGE) return false;
+  out = value;
+  return true;
+}
+
 /// Minimal option parser: positional args plus --key value / --flag.
+/// Numeric values are strict: an unusable one throws UsageError naming
+/// the flag and the value.
 class Args {
  public:
   Args(int argc, char** argv, int first) {
@@ -106,13 +132,31 @@ class Args {
 
   double number(const std::string& key, double fallback) const {
     const auto it = options_.find(key);
-    return it == options_.end() ? fallback : std::strtod(it->second.c_str(),
-                                                         nullptr);
+    if (it == options_.end()) return fallback;
+    char* end = nullptr;
+    const double value = std::strtod(it->second.c_str(), &end);
+    if (it->second.empty() || *end != '\0' || !std::isfinite(value)) {
+      unusable(key, "a number");
+    }
+    return value;
   }
-  long integer(const std::string& key, long fallback) const {
+  std::uint64_t integer(const std::string& key, std::uint64_t fallback) const {
     const auto it = options_.find(key);
-    return it == options_.end() ? fallback
-                                : std::strtol(it->second.c_str(), nullptr, 10);
+    std::uint64_t value = fallback;
+    if (it != options_.end() && !parse_unsigned(it->second, value)) {
+      unusable(key, "a non-negative integer");
+    }
+    return value;
+  }
+  /// --jobs through sim::parse_jobs_value; absent = 0 (the default).
+  std::size_t jobs() const {
+    const auto it = options_.find("jobs");
+    std::size_t jobs = 0;
+    if (it != options_.end() &&
+        !sim::parse_jobs_value(it->second.c_str(), jobs)) {
+      unusable("jobs", "a non-negative integer");
+    }
+    return jobs;
   }
   std::string text(const std::string& key, std::string fallback) const {
     const auto it = options_.find(key);
@@ -121,14 +165,28 @@ class Args {
   bool flag(const std::string& key) const { return options_.count(key) != 0; }
 
  private:
+  [[noreturn]] void unusable(const std::string& key, const char* want) const {
+    throw UsageError("--" + key + " wants " + want + ", got '" +
+                     options_.at(key) + "'");
+  }
+
   std::vector<std::string> positional_;
   std::map<std::string, std::string> options_;
 };
 
+/// A positional count (stages, tokens), as strict as a numeric flag.
+std::size_t count_arg(const std::string& text, const char* what) {
+  std::uint64_t value = 0;
+  if (!parse_unsigned(text, value)) {
+    throw UsageError(std::string(what) +
+                     " wants a non-negative integer, got '" + text + "'");
+  }
+  return static_cast<std::size_t>(value);
+}
+
 RingSpec parse_spec(const std::string& kind, const std::string& stages,
                     const Args& args) {
-  const auto n = static_cast<std::size_t>(std::strtoul(stages.c_str(),
-                                                       nullptr, 10));
+  const std::size_t n = count_arg(stages, "<stages>");
   if (kind == "iro") return RingSpec::iro(n);
   if (kind == "str") {
     const auto tokens = static_cast<std::size_t>(args.integer("tokens", 0));
@@ -143,10 +201,10 @@ RingSpec parse_spec(const std::string& kind, const std::string& stages,
 BuildOptions build_options(const Args& args, const fpga::Board** board_out,
                            std::optional<fpga::Board>& board_storage) {
   BuildOptions build;
-  build.noise_seed = static_cast<std::uint64_t>(args.integer("seed", 20120312));
-  const long board = args.integer("board", -1);
-  if (board >= 0) {
-    board_storage.emplace(build.noise_seed, static_cast<unsigned>(board),
+  build.noise_seed = args.integer("seed", 20120312);
+  if (args.flag("board")) {
+    board_storage.emplace(build.noise_seed,
+                          static_cast<unsigned>(args.integer("board", 0)),
                           cyclone_iii().process);
     build.board = &*board_storage;
     *board_out = build.board;
@@ -188,90 +246,9 @@ int cmd_characterize(const Args& args) {
   return 0;
 }
 
-int cmd_sweep_voltage(const Args& args) {
-  const RingSpec spec =
-      parse_spec(args.positional().at(0), args.positional().at(1), args);
-  std::vector<double> volts;
-  for (double v = args.number("from", 1.0);
-       v <= args.number("to", 1.4) + 1e-9; v += args.number("step", 0.05)) {
-    volts.push_back(v);
-  }
-  // The driver normalizes at the nominal voltage; make sure the grid has it.
-  const double v_nom = cyclone_iii().nominal_voltage;
-  if (std::none_of(volts.begin(), volts.end(), [&](double v) {
-        return std::abs(v - v_nom) < 1e-9;
-      })) {
-    volts.push_back(v_nom);
-    std::sort(volts.begin(), volts.end());
-  }
-  const auto sweep =
-      run_voltage_sweep(VoltageSweepSpec{spec, volts}, cyclone_iii());
-  Table table({"V", "F (MHz)", "Fn"});
-  for (const auto& p : sweep.points) {
-    table.add_row({fmt_double(p.voltage_v, 2), fmt_double(p.frequency_mhz, 2),
-                   fmt_double(p.normalized, 4)});
-  }
-  std::printf("%s\nexcursion dF = %s\n", table.str().c_str(),
-              fmt_percent(sweep.excursion, 1).c_str());
-  return 0;
-}
-
-int cmd_sweep_temperature(const Args& args) {
-  const RingSpec spec =
-      parse_spec(args.positional().at(0), args.positional().at(1), args);
-  std::vector<double> temps;
-  for (double t = args.number("from", -20.0);
-       t <= args.number("to", 85.0) + 1e-9; t += args.number("step", 15.0)) {
-    temps.push_back(t);
-  }
-  // Normalization point is 25 C; insert it when the grid skips it.
-  if (std::none_of(temps.begin(), temps.end(), [](double t) {
-        return std::abs(t - 25.0) < 1e-9;
-      })) {
-    temps.push_back(25.0);
-    std::sort(temps.begin(), temps.end());
-  }
-  const auto sweep =
-      run_temperature_sweep(TemperatureSweepSpec{spec, temps}, cyclone_iii());
-  Table table({"T (C)", "F (MHz)", "Fn"});
-  for (const auto& p : sweep.points) {
-    table.add_row({fmt_double(p.temperature_c, 0),
-                   fmt_double(p.frequency_mhz, 2),
-                   fmt_double(p.normalized, 4)});
-  }
-  std::printf("%s\nexcursion dF = %s\n", table.str().c_str(),
-              fmt_percent(sweep.excursion, 2).c_str());
-  return 0;
-}
-
-int cmd_modes(const Args& args) {
-  const auto stages = static_cast<std::size_t>(
-      std::strtoul(args.positional().at(0).c_str(), nullptr, 10));
-  std::vector<std::size_t> token_counts;
-  for (std::size_t nt = 2; nt < stages; nt += 2) token_counts.push_back(nt);
-  ModeMapSpec map_spec;
-  map_spec.stages = stages;
-  map_spec.token_counts = token_counts;
-  map_spec.placement = args.flag("clustered")
-                           ? ring::TokenPlacement::clustered
-                           : ring::TokenPlacement::evenly_spread;
-  map_spec.charlie_scale = args.number("charlie-scale", 1.0);
-  const auto map = run_mode_map(map_spec, cyclone_iii());
-  Table table({"NT", "mode", "CV", "F (MHz)"});
-  for (const auto& e : map) {
-    table.add_row({std::to_string(e.tokens), ring::to_string(e.mode),
-                   fmt_double(e.interval_cv, 4),
-                   fmt_double(e.frequency_mhz, 1)});
-  }
-  std::printf("%s", table.str().c_str());
-  return 0;
-}
-
 int cmd_predict(const Args& args) {
-  const auto stages = static_cast<std::size_t>(
-      std::strtoul(args.positional().at(0).c_str(), nullptr, 10));
-  const auto tokens = static_cast<std::size_t>(
-      std::strtoul(args.positional().at(1).c_str(), nullptr, 10));
+  const std::size_t stages = count_arg(args.positional().at(0), "<stages>");
+  const std::size_t tokens = count_arg(args.positional().at(1), "<tokens>");
   const auto& cal = cyclone_iii();
   const auto pred = ring::predict_steady_state(
       ring::CharlieParams::symmetric(cal.str_d_static, cal.str_d_charlie),
@@ -338,25 +315,6 @@ int cmd_trng(const Args& args) {
               claim, health.rct_pass ? "ok" : "ALARM", health.rct_cutoff_used,
               health.apt_pass ? "ok" : "ALARM", health.apt_cutoff_used);
   return battery.all_pass ? 0 : 1;
-}
-
-int cmd_restart(const Args& args) {
-  const RingSpec spec =
-      parse_spec(args.positional().at(0), args.positional().at(1), args);
-  const auto restarts = static_cast<unsigned>(args.integer("restarts", 64));
-  const auto edges = static_cast<std::size_t>(args.integer("edges", 256));
-  const auto result = run_restart_experiment(RestartSpec{spec, restarts, edges},
-                                             cyclone_iii());
-  std::printf("restart technique on %s (%u restarts, %zu edges):\n",
-              spec.name().c_str(), restarts, edges);
-  std::printf("  same-seed control: %s\n",
-              result.control_identical ? "bit-identical (ok)" : "BROKEN");
-  for (const auto& p : result.points) {
-    std::printf("  k=%4zu  spread = %8.2f ps\n", p.edge, p.spread_ps);
-  }
-  std::printf("  diffusion = %.2f ps/sqrt(edge)  (R^2 = %.3f)\n",
-              result.diffusion_per_edge_ps, result.fit_r2);
-  return 0;
 }
 
 int cmd_analyze_vcd(const Args& args) {
@@ -462,38 +420,25 @@ void print_metrics_table(const RunManifest& manifest, std::FILE* out) {
   }
 }
 
-int cmd_run(const Args& args) {
-  const std::string& name = args.positional().at(0);
-  const ExperimentDescriptor* exp = find_experiment(name);
-  if (exp == nullptr) {
-    std::fprintf(stderr, "error: unknown experiment '%s' (see --list)\n",
-                 name.c_str());
-    return 2;
+/// Run `exp` on `spec` through its render route and print, in order: the
+/// entry's heading, the rendered table and headlines, and the manifest
+/// summary. With RINGENT_OUT_DIR set the table is also written there as
+/// <experiment>.csv, next to the manifest; a table that cannot be written
+/// is reported and the run carries on, as a manifest is.
+void print_run(const std::string& heading, const ExperimentDescriptor& exp,
+               const Json& spec, const Calibration& calibration,
+               const ExperimentOptions& options) {
+  const RenderedRun run = exp.render(spec, calibration, options);
+  const RunManifest& manifest = run.manifest;
+  std::printf("%s%s — %s (%s)\n", heading.c_str(), exp.name.c_str(),
+              exp.summary.c_str(), exp.source.c_str());
+  std::printf("%s", run.rendering.text().c_str());
+  try {
+    write_artifact(manifest.experiment, run.rendering.table, manifest.spec);
+  } catch (const Error& error) {
+    std::fprintf(stderr, "ringent: dropping table artifact: %s\n",
+                 error.what());
   }
-  ExperimentOptions options;
-  options.seed = static_cast<std::uint64_t>(args.integer("seed", 20120312));
-  options.jobs = static_cast<std::size_t>(args.integer("jobs", 0));
-
-  const std::string spec_path = args.text("spec", "");
-  RunManifest manifest;
-  if (spec_path.empty()) {
-    manifest = exp->run_small(cyclone_iii(), options);
-  } else {
-    std::ifstream in(spec_path, std::ios::binary);
-    if (!in) {
-      std::fprintf(stderr, "error: cannot open spec file '%s'\n",
-                   spec_path.c_str());
-      return 1;
-    }
-    std::ostringstream text;
-    text << in.rdbuf();
-    // A bad spec throws ringent::Error naming the schema and the offending
-    // key (the spec's field list, common/fields.hpp); main() prints it and
-    // exits 1.
-    manifest = exp->run_spec(Json::parse(text.str()), cyclone_iii(), options);
-  }
-  std::printf("%s — %s (%s)\n", exp->name.c_str(), exp->summary.c_str(),
-              exp->source.c_str());
   std::printf("  spec    : %s\n", manifest.spec.c_str());
   std::printf("  seed    : %llu\n",
               static_cast<unsigned long long>(manifest.seed));
@@ -521,6 +466,66 @@ int cmd_run(const Args& args) {
     std::printf("  telemetry: %s\n", sink->path.c_str());
   }
   if (scope.collects().metrics) print_metrics_table(manifest, stderr);
+}
+
+/// `run <plan.json>`: every cell of the expanded plan, in plan order, with
+/// the cell's own seed and the plan's device. Nothing is cached.
+int run_plan(const std::string& path, const Args& args) {
+  if (args.flag("spec") || args.flag("seed")) {
+    throw UsageError("--spec and --seed do not apply to a plan: its cells "
+                     "carry their own spec and seed");
+  }
+  const campaign::CampaignPlan plan = campaign::load_plan(path);
+  const Calibration& calibration = find_device_profile(plan.device);
+  const std::vector<campaign::CampaignCell> cells =
+      campaign::expand_plan(plan);
+  ExperimentOptions options;
+  options.jobs = args.jobs();
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    if (i != 0) std::printf("\n");
+    options.seed = cells[i].seed;
+    print_run("[" + std::to_string(i + 1) + "/" +
+                  std::to_string(cells.size()) + "] ",
+              *find_experiment(cells[i].experiment), cells[i].spec,
+              calibration, options);
+  }
+  return 0;
+}
+
+int cmd_run(const Args& args) {
+  const std::string& name = args.positional().at(0);
+  const ExperimentDescriptor* exp = find_experiment(name);
+  const std::string suffix = ".json";
+  if (exp == nullptr && name.size() > suffix.size() &&
+      name.compare(name.size() - suffix.size(), suffix.size(), suffix) == 0) {
+    return run_plan(name, args);
+  }
+  if (exp == nullptr) {
+    std::fprintf(stderr, "error: unknown experiment '%s' (see --list)\n",
+                 name.c_str());
+    return 2;
+  }
+  ExperimentOptions options;
+  options.seed = args.integer("seed", 20120312);
+  options.jobs = args.jobs();
+
+  const std::string spec_path = args.text("spec", "");
+  Json spec = exp->default_spec();
+  if (!spec_path.empty()) {
+    std::ifstream in(spec_path, std::ios::binary);
+    if (!in) {
+      std::fprintf(stderr, "error: cannot open spec file '%s'\n",
+                   spec_path.c_str());
+      return 1;
+    }
+    std::ostringstream text;
+    text << in.rdbuf();
+    // A bad spec throws ringent::Error naming the schema and the offending
+    // key (the spec's field list, common/fields.hpp); main() prints it and
+    // exits 1.
+    spec = Json::parse(text.str());
+  }
+  print_run("", *exp, spec, cyclone_iii(), options);
   return 0;
 }
 
@@ -547,23 +552,19 @@ int cmd_campaign(const Args& args) {
 
   if (action == "run") {
     campaign::CampaignRunOptions options;
-    options.jobs = static_cast<std::size_t>(args.integer("jobs", 0));
+    options.jobs = args.jobs();
     options.max_cells =
         static_cast<std::size_t>(args.integer("max-cells", 0));
-    const std::string shard = args.text("shard", "");
-    if (!shard.empty()) {
-      std::size_t index = 0, count = 0;
+    if (args.flag("shard")) {
+      const std::string shard = args.text("shard", "");
+      std::uint64_t index = 0, count = 0;
       const auto slash = shard.find('/');
-      char* end = nullptr;
-      if (slash != std::string::npos) {
-        index = std::strtoul(shard.c_str(), &end, 10);
-        count = std::strtoul(shard.c_str() + slash + 1, nullptr, 10);
-      }
-      if (slash == std::string::npos || count == 0 || index >= count) {
-        std::fprintf(stderr,
-                     "error: --shard wants i/N with 0 <= i < N, got '%s'\n",
-                     shard.c_str());
-        return 2;
+      if (slash == std::string::npos ||
+          !parse_unsigned(shard.substr(0, slash), index) ||
+          !parse_unsigned(shard.substr(slash + 1), count) || count == 0 ||
+          index >= count) {
+        throw UsageError("--shard wants i/N with 0 <= i < N, got '" + shard +
+                         "'");
       }
       options.shard_index = index;
       options.shard_count = count;
@@ -617,8 +618,7 @@ int cmd_serve_bench(const Args& args) {
   // (the service's central determinism contract).
   EntropyServiceSpec spec;
   spec.slots = static_cast<std::size_t>(args.integer("slots", 4));
-  spec.raw_bits_per_slot =
-      static_cast<std::uint64_t>(args.integer("bits-per-slot", 1 << 18));
+  spec.raw_bits_per_slot = args.integer("bits-per-slot", 1 << 18);
   spec.conditioner =
       service::parse_conditioner_kind(args.text("conditioner", "lfsr"));
   spec.conditioner_ratio =
@@ -632,7 +632,7 @@ int cmd_serve_bench(const Args& args) {
   const std::size_t max_workers =
       static_cast<std::size_t>(args.integer("max-workers", 4));
   ExperimentOptions options;
-  options.seed = static_cast<std::uint64_t>(args.integer("seed", 20120312));
+  options.seed = args.integer("seed", 20120312);
 
   std::printf("entropy service saturation bench (%s sources, %zu slots, "
               "%llu raw bits/slot, %s conditioner /%zu)\n",
@@ -673,12 +673,8 @@ int usage() {
       stderr,
       "usage: ringent_cli <command> ...\n"
       "  characterize <iro|str> <stages> [--periods N] [--board B] [--seed S]\n"
-      "  sweep-voltage <iro|str> <stages> [--from V] [--to V] [--step V]\n"
-      "  sweep-temperature <iro|str> <stages> [--from C] [--to C] [--step C]\n"
-      "  modes <stages> [--charlie-scale X] [--clustered]\n"
       "  predict <stages> <tokens>\n"
       "  trng <iro|str> <stages> [--rate-mhz F] [--bits N] [--board B]\n"
-      "  restart <iro|str> <stages> [--restarts N] [--edges N]\n"
       "  analyze-vcd <file>\n"
       "  vcd str <stages> [--out FILE] [--tokens N] [--clustered] "
       "[--periods N]\n"
@@ -687,6 +683,7 @@ int usage() {
       "              [--ratio N] [--max-workers N] [--real-rings] [--seed S]\n"
       "  --list | list                (registered experiments)\n"
       "  run <experiment> [--spec FILE] [--seed S] [--jobs N]\n"
+      "  run <plan.json> [--jobs N]     (e.g. examples/plans/figures/*.json)\n"
       "  campaign run <plan.json> [--dir DIR] [--shard i/N] [--jobs N]\n"
       "               [--max-cells N]\n"
       "  campaign status <plan.json> [--dir DIR]\n"
@@ -716,18 +713,10 @@ int main(int argc, char** argv) {
     const sim::Scope scope(sim::Collect::from(observe), nullptr);
     if (command == "characterize" && args.positional().size() >= 2)
       return cmd_characterize(args);
-    if (command == "sweep-voltage" && args.positional().size() >= 2)
-      return cmd_sweep_voltage(args);
-    if (command == "sweep-temperature" && args.positional().size() >= 2)
-      return cmd_sweep_temperature(args);
-    if (command == "modes" && args.positional().size() >= 1)
-      return cmd_modes(args);
     if (command == "predict" && args.positional().size() >= 2)
       return cmd_predict(args);
     if (command == "trng" && args.positional().size() >= 2)
       return cmd_trng(args);
-    if (command == "restart" && args.positional().size() >= 2)
-      return cmd_restart(args);
     if (command == "analyze-vcd" && args.positional().size() >= 1)
       return cmd_analyze_vcd(args);
     if (command == "vcd" && args.positional().size() >= 2)
@@ -739,6 +728,9 @@ int main(int argc, char** argv) {
     if (command == "campaign" && args.positional().size() >= 2)
       return cmd_campaign(args);
     return usage();
+  } catch (const UsageError& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 2;
   } catch (const Error& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;

@@ -1,13 +1,15 @@
-// libFuzzer harness for the shared front-end CLI surface: bench::parse_cli,
-// sim::parse_jobs_arg / sim::resolve_jobs, and the --observe grammar
-// (sim::parse_observe / sim::to_string).
+// libFuzzer harness for the front-end flag values: sim::parse_jobs_value /
+// sim::resolve_jobs (the --jobs and RINGENT_JOBS text) and the --observe
+// grammar (sim::parse_observe / sim::to_string).
 //
-// The input is split on newlines/NULs into an argv vector (argv[0] fixed).
-// Contract enforced on every input:
-//  * flag parsing never throws and never crashes, whatever the tokens;
-//  * whatever --jobs text an attacker supplies, the *resolved* worker count
-//    always lands in [1, max_jobs()] — the bug class where
-//    "--jobs=99999999999999999999" asked ThreadPool for ~2^64 threads;
+// The input is split on newlines/NULs into argv-like tokens. Contract
+// enforced on every input:
+//  * every token, and every value of a "--jobs VALUE" / "--jobs=VALUE"
+//    pair, parses as a jobs count without throwing; a rejected value
+//    leaves the count untouched, and whatever --jobs text an attacker
+//    supplies, the *resolved* worker count always lands in
+//    [1, max_jobs()] — the bug class where "--jobs=99999999999999999999"
+//    asked ThreadPool for ~2^64 threads;
 //  * every token, read as an --observe value, parses without throwing;
 //    an item is either kept or reported (a value with no reported problem
 //    prints back with as many items as it had), and
@@ -15,9 +17,9 @@
 #include <cstdint>
 #include <cstdlib>
 #include <string>
+#include <string_view>
 #include <vector>
 
-#include "cli.hpp"
 #include "sim/observe.hpp"
 #include "sim/parallel.hpp"
 
@@ -44,13 +46,19 @@ void check_observe(const std::string& text) {
   if (ringent::sim::parse_observe(text) != spec) std::abort();
 }
 
+void check_jobs(const char* text) {
+  std::size_t jobs = 7;
+  if (!ringent::sim::parse_jobs_value(text, jobs) && jobs != 7) std::abort();
+  const std::size_t resolved = ringent::sim::resolve_jobs(jobs);
+  if (resolved < 1 || resolved > ringent::sim::max_jobs()) std::abort();
+}
+
 }  // namespace
 
 extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
                                       std::size_t size) {
   constexpr std::size_t max_tokens = 256;
   std::vector<std::string> tokens;
-  tokens.emplace_back("fuzz_cli");
   std::string current;
   for (std::size_t i = 0; i < size && tokens.size() < max_tokens; ++i) {
     const char c = static_cast<char>(data[i]);
@@ -64,21 +72,16 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
   if (!current.empty() && tokens.size() < max_tokens) {
     tokens.push_back(current);
   }
-  std::vector<char*> argv;
-  argv.reserve(tokens.size());
-  for (auto& token : tokens) argv.push_back(token.data());
-  const int argc = static_cast<int>(argv.size());
-  for (const auto& token : tokens) check_observe(token);
-
-  const ringent::bench::CliOptions options =
-      ringent::bench::parse_cli(argc, argv.data(), /*diagnostics=*/nullptr);
-  const std::size_t resolved = ringent::sim::resolve_jobs(options.jobs);
-  if (resolved < 1 || resolved > ringent::sim::max_jobs()) std::abort();
-
-  const std::size_t raw = ringent::sim::parse_jobs_arg(argc, argv.data());
-  const std::size_t raw_resolved = ringent::sim::resolve_jobs(raw);
-  if (raw_resolved < 1 || raw_resolved > ringent::sim::max_jobs()) {
-    std::abort();
+  constexpr std::string_view jobs_eq = "--jobs=";
+  for (std::size_t i = 0; i < tokens.size(); ++i) {
+    const std::string& token = tokens[i];
+    check_observe(token);
+    check_jobs(token.c_str());
+    if (token == "--jobs" && i + 1 < tokens.size()) {
+      check_jobs(tokens[i + 1].c_str());
+    } else if (token.compare(0, jobs_eq.size(), jobs_eq) == 0) {
+      check_jobs(token.c_str() + jobs_eq.size());
+    }
   }
   return 0;
 }

@@ -38,8 +38,9 @@ struct Calibration {
 
   // --- operating point -----------------------------------------------------
   // Temperature coefficients are typical Cyclone III numbers (~0.3-0.4% per
-  // 10 C); the paper holds temperature fixed, the ext_temperature bench
-  // sweeps it (the attack surface of its ref [1]).
+  // 10 C); the paper holds temperature fixed, the temperature_sweep
+  // experiment sweeps it (examples/plans/figures/ext_temperature.json; the
+  // attack surface of its ref [1]).
   double nominal_voltage = 1.2;
   fpga::VoltageLaws laws{
       fpga::DelayVoltageLaw(0.385, 1.2, 4.0e-4),  // LUT: ~49% / 0.4 V

@@ -2,8 +2,9 @@
 //
 // Each driver builds oscillators through the public factory, runs their
 // event loops, measures through the instrument models, and returns a plain
-// result struct. The bench binaries (bench/) only format these results into
-// the paper's tables and figures; the test suite asserts their shapes.
+// result struct. core/render.hpp formats these results into the paper's
+// tables and fits (as do the remaining bench/ binaries); the test suite
+// asserts their shapes.
 //
 // Every driver has the same canonical signature:
 //

@@ -35,7 +35,7 @@ bool write_artifact(const std::string& experiment_id, const Table& table,
 
   const std::string path = *dir + "/" + experiment_id + ".csv";
   std::ofstream out(path);
-  RINGENT_REQUIRE(out.good(), "cannot open artifact file " + path);
+  if (!out.good()) throw Error("cannot open artifact file " + path);
   out << "# ringent experiment artifact: " << experiment_id << "\n";
   if (!notes.empty()) out << "# " << notes << "\n";
   out << table.csv();

@@ -1,11 +1,11 @@
 // Machine-readable experiment artifacts: CSV tables and JSON run manifests.
 //
-// Every bench prints the paper-shaped table to stdout; when the environment
-// variable RINGENT_OUT_DIR names a writable directory, benches additionally
-// drop CSV files there (one per table/series) so plots can be regenerated
-// without scraping stdout. The export layer is deliberately dumb: benches
-// build core::Table objects anyway, and artifact() writes table.csv() plus a
-// provenance header (experiment id, seed, library version).
+// `ringent_cli run` prints each experiment's rendered table to stdout
+// (core/render.hpp); when the environment variable RINGENT_OUT_DIR names a
+// writable directory, it additionally drops each table there as CSV so plots
+// can be regenerated without scraping stdout, as do the bench binaries.
+// The export layer is deliberately dumb: write_artifact() writes
+// table.csv() plus a provenance comment header.
 //
 // Run manifests are the observability companion: every experiment driver
 // run under an observation scope that collects metrics (sim/observe.hpp)
@@ -43,9 +43,10 @@ namespace ringent::core {
 std::optional<std::string> artifact_dir();
 
 /// Write `table` as <dir>/<experiment_id>.csv with a provenance comment
-/// header. No-op (returns false) when RINGENT_OUT_DIR is unset; throws
-/// ringent::Error on I/O failure when it is set. `experiment_id` must be a
-/// filesystem-safe slug (letters, digits, '-', '_').
+/// header. No-op (returns false) when RINGENT_OUT_DIR is unset; throws a
+/// plain ringent::Error naming the path when the file cannot be opened or
+/// written. `experiment_id` must be a filesystem-safe slug (letters,
+/// digits, '-', '_').
 bool write_artifact(const std::string& experiment_id, const Table& table,
                     const std::string& notes = "");
 
@@ -110,7 +111,7 @@ std::optional<RunManifest> last_run_manifest();
 struct TelemetrySnapshot {
   static constexpr std::string_view schema = "ringent.telemetry/1";
 
-  std::string experiment;     ///< driver slug or "<bench>-total"
+  std::string experiment;     ///< driver slug
   std::uint64_t sequence = 0; ///< per-sink snapshot counter, assigned on append
   double wall_ms = 0.0;       ///< wall-clock covered by the snapshot
   std::vector<sim::telemetry::HistogramSnapshot> histograms;  ///< non-empty only

@@ -9,15 +9,38 @@ namespace ringent::core {
 
 namespace {
 
+/// Run `driver` on the spec in `json` under a scope that collects metrics
+/// on top of whatever the caller's scope collects; the driver's own scope,
+/// opened under it, builds the run manifest into `manifest`. The one route
+/// run_spec and render share. Returns the parsed spec and the result.
+template <typename Spec, typename Result>
+std::pair<Spec, Result> run_observed(
+    Result (*driver)(const Spec&, const Calibration&,
+                     const ExperimentOptions&),
+    const Json& json, const Calibration& cal,
+    const ExperimentOptions& options, RunManifest& manifest) {
+  Spec spec = Spec::from_json(json);
+  sim::Scope* caller = sim::Scope::current();
+  sim::Collect what = caller != nullptr ? caller->collects() : sim::Collect{};
+  what.metrics = true;
+  ExperimentOptions observed = options;
+  observed.manifest = &manifest;
+  const sim::Scope scope(std::move(what), caller);
+  Result result = driver(spec, cal, observed);
+  return {std::move(spec), std::move(result)};
+}
+
 /// Build one descriptor from an experiment's Spec type, its committed small
 /// default instance and its driver function. The JSON surface (schema id,
 /// default_spec, canonicalize, run_spec) falls out of the Spec's
-/// to_json/from_json pair; run_small forwards run_spec over the default, so
-/// every smoke run also exercises the deserializer.
-template <typename Spec, typename Driver>
-ExperimentDescriptor make_entry(const char* name, const char* summary,
-                                const char* source, Spec small_spec,
-                                Driver driver) {
+/// to_json/from_json pair; render pairs the driver with the
+/// core/render.hpp overload for its result.
+template <typename Spec, typename Result>
+ExperimentDescriptor make_entry(
+    const char* name, const char* summary, const char* source,
+    Spec small_spec,
+    Result (*driver)(const Spec&, const Calibration&,
+                     const ExperimentOptions&)) {
   ExperimentDescriptor entry;
   entry.name = name;
   entry.summary = summary;
@@ -29,26 +52,16 @@ ExperimentDescriptor make_entry(const char* name, const char* summary,
   };
   entry.run_spec = [driver](const Json& json, const Calibration& cal,
                             const ExperimentOptions& options) {
-    const Spec spec = Spec::from_json(json);
-    // A scope that collects metrics on top of whatever the caller's scope
-    // collects; the driver's own scope, opened under it, builds the
-    // manifest into `manifest`.
-    sim::Scope* caller = sim::Scope::current();
-    sim::Collect what = caller != nullptr ? caller->collects() : sim::Collect{};
-    what.metrics = true;
     RunManifest manifest;
-    ExperimentOptions observed = options;
-    observed.manifest = &manifest;
-    {
-      const sim::Scope scope(std::move(what), caller);
-      driver(spec, cal, observed);
-    }
+    run_observed(driver, json, cal, options, manifest);
     return manifest;
   };
-  entry.run_small = [run = entry.run_spec, spec_json = small_spec.to_json()](
-                        const Calibration& cal,
-                        const ExperimentOptions& options) {
-    return run(spec_json, cal, options);
+  entry.render = [driver](const Json& json, const Calibration& cal,
+                          const ExperimentOptions& options) {
+    RunManifest manifest;
+    const auto [spec, result] =
+        run_observed(driver, json, cal, options, manifest);
+    return RenderedRun{std::move(manifest), core::render(spec, result, cal)};
   };
   return entry;
 }
@@ -61,30 +74,21 @@ std::vector<ExperimentDescriptor> build_registry() {
       "normalized frequency vs supply voltage (IRO sensitivity)",
       "paper Fig. 8",
       VoltageSweepSpec{RingSpec::iro(3), {1.1, 1.2, 1.3}, 30},
-      [](const VoltageSweepSpec& spec, const Calibration& cal,
-         const ExperimentOptions& options) {
-        run_voltage_sweep(spec, cal, options);
-      }));
+      run_voltage_sweep));
 
   registry.push_back(make_entry(
       "temperature_sweep",
       "normalized frequency vs die temperature at nominal voltage",
       "extension of paper ref [1]",
       TemperatureSweepSpec{RingSpec::str(4), {15.0, 25.0, 35.0}, 30},
-      [](const TemperatureSweepSpec& spec, const Calibration& cal,
-         const ExperimentOptions& options) {
-        run_temperature_sweep(spec, cal, options);
-      }));
+      run_temperature_sweep));
 
   registry.push_back(make_entry(
       "process_variability",
       "same bitstream across simulated boards, frequency spread",
       "paper Sec. V-C / Table II",
       ProcessVariabilitySpec{RingSpec::iro(5), 3, 30},
-      [](const ProcessVariabilitySpec& spec, const Calibration& cal,
-         const ExperimentOptions& options) {
-        run_process_variability(spec, cal, options);
-      }));
+      run_process_variability));
 
   {
     JitterSweepSpec sweep;
@@ -95,11 +99,7 @@ std::vector<ExperimentDescriptor> build_registry() {
     registry.push_back(make_entry(
         "jitter_vs_stages",
         "period jitter vs ring length through the divider/scope chain",
-        "paper Figs. 11-12", sweep,
-        [](const JitterSweepSpec& spec, const Calibration& cal,
-           const ExperimentOptions& options) {
-          run_jitter_vs_stages(spec, cal, options);
-        }));
+        "paper Figs. 11-12", sweep, run_jitter_vs_stages));
   }
 
   {
@@ -111,32 +111,21 @@ std::vector<ExperimentDescriptor> build_registry() {
     registry.push_back(make_entry(
         "mode_map",
         "STR steady-state mode (evenly spaced / burst) per token count",
-        "paper Sec. V-A", map_spec,
-        [](const ModeMapSpec& spec, const Calibration& cal,
-           const ExperimentOptions& options) {
-          run_mode_map(spec, cal, options);
-        }));
+        "paper Sec. V-A", map_spec, run_mode_map));
   }
 
   registry.push_back(make_entry(
       "restart",
       "restart technique: k-th edge spread growth across identical starts",
       "standard TRNG entropy validation",
-      RestartSpec{RingSpec::iro(5), 8, 16},
-      [](const RestartSpec& spec, const Calibration& cal,
-         const ExperimentOptions& options) {
-        run_restart_experiment(spec, cal, options);
-      }));
+      RestartSpec{RingSpec::iro(5), 8, 16}, run_restart_experiment));
 
   registry.push_back(make_entry(
       "coherent_boards",
       "coherent-sampling beat window across process-varied boards",
       "paper conclusion / Table II consequence",
       CoherentSweepSpec{RingSpec::iro(3), 0.05, 2, 500},
-      [](const CoherentSweepSpec& spec, const Calibration& cal,
-         const ExperimentOptions& options) {
-        run_coherent_across_boards(spec, cal, options);
-      }));
+      run_coherent_across_boards));
 
   {
     DeterministicJitterSpec sweep;
@@ -146,11 +135,7 @@ std::vector<ExperimentDescriptor> build_registry() {
     registry.push_back(make_entry(
         "deterministic_jitter",
         "supply-tone leakage into the period sequence per ring length",
-        "paper Sec. IV-B", sweep,
-        [](const DeterministicJitterSpec& spec, const Calibration& cal,
-           const ExperimentOptions& options) {
-          run_deterministic_jitter(spec, cal, options);
-        }));
+        "paper Sec. IV-B", sweep, run_deterministic_jitter));
   }
 
   {
@@ -168,10 +153,7 @@ std::vector<ExperimentDescriptor> build_registry() {
         "entropy_map",
         "SP 800-90B min-entropy over sampling period x ring length",
         "NIST SP 800-90B Sec. 6.3 / ROADMAP deeper entropy claims", spec,
-        [](const EntropyMapSpec& s, const Calibration& cal,
-           const ExperimentOptions& options) {
-          run_entropy_map(s, cal, options);
-        }));
+        run_entropy_map));
   }
 
   {
@@ -187,10 +169,7 @@ std::vector<ExperimentDescriptor> build_registry() {
         "attack_resilience",
         "fault scenarios vs the health-monitored generator pipeline",
         "paper Sec. IV-B attack, AIS 31-style online tests", spec,
-        [](const AttackResilienceSpec& s, const Calibration& cal,
-           const ExperimentOptions& options) {
-          run_attack_resilience(s, cal, options);
-        }));
+        run_attack_resilience));
   }
 
   {
@@ -204,10 +183,7 @@ std::vector<ExperimentDescriptor> build_registry() {
         "entropy_service",
         "conditioned streaming TRNG service: pool -> rings -> front-end",
         "ROADMAP entropy-as-a-service tentpole", spec,
-        [](const EntropyServiceSpec& s, const Calibration& cal,
-           const ExperimentOptions& options) {
-          run_entropy_service(s, cal, options);
-        }));
+        run_entropy_service));
   }
 
   return registry;

@@ -2,23 +2,23 @@
 // core/experiments.hpp. Each entry carries a one-line summary, the paper
 // anchor it reproduces, and a type-erased JSON-spec surface: a committed
 // small default spec, a canonicalizer (parse + validate + re-emit — the
-// campaign layer's cache-key normalizer), and `run_spec`, which executes
-// the driver on a serialized spec under an observation scope that collects
-// metrics and returns the RunManifest the driver built from it. `run_small` is a thin forwarder of
-// `run_spec` over `default_spec()` — the uniform "smoke-run any experiment
-// and get its provenance record" entry point the CLI front ends dispatch
-// through.
+// campaign layer's cache-key normalizer), `run_spec`, which executes the
+// driver on a serialized spec under an observation scope that collects
+// metrics and returns the RunManifest the driver built from it, and
+// `render`, which runs the same way and also renders the driver's result
+// (core/render.hpp) for a reader.
 //
 //   for (const auto& e : core::experiment_registry())
 //     std::printf("%-22s %s\n", e.name.c_str(), e.summary.c_str());
 //
 //   const auto* exp = core::find_experiment("attack_resilience");
-//   const core::RunManifest m = exp->run_small(core::cyclone_iii(), options);
+//   const core::RunManifest m =
+//       exp->run_spec(exp->default_spec(), core::cyclone_iii(), options);
 //
-//   // Same run, driven from a document (the campaign path):
-//   const Json spec = Json::parse(spec_text);
-//   const core::RunManifest m2 =
-//       exp->run_spec(spec, core::cyclone_iii(), options);
+//   // Same run, with its table and headline fits:
+//   const core::RenderedRun r =
+//       exp->render(exp->default_spec(), core::cyclone_iii(), options);
+//   std::fputs(r.rendering.text().c_str(), stdout);
 #pragma once
 
 #include <functional>
@@ -28,13 +28,21 @@
 
 #include "core/experiments.hpp"
 #include "core/export.hpp"
+#include "core/render.hpp"
 
 namespace ringent::core {
+
+/// One run through ExperimentDescriptor::render: its manifest and what it
+/// shows a reader.
+struct RenderedRun {
+  RunManifest manifest;
+  Rendering rendering;
+};
 
 struct ExperimentDescriptor {
   /// Registry key; matches the `experiment` field of the manifest the
   /// driver writes (drivers that split by ring kind report a `_iro`/`_str`
-  /// suffixed name — run_small picks the IRO flavour).
+  /// suffixed name).
   std::string name;
 
   /// One-line description for `--list` output.
@@ -48,8 +56,9 @@ struct ExperimentDescriptor {
   /// the campaign content key.
   std::string spec_schema;
 
-  /// The committed small default spec, serialized. This is the exact
-  /// configuration `run_small` executes; tests pin its canonical dump.
+  /// The committed small default spec, serialized: what `ringent_cli run
+  /// <name>` executes and what a campaign plan entry overlays; tests pin
+  /// its canonical dump.
   std::function<Json()> default_spec;
 
   /// Parse + validate + re-serialize a spec document. Rejects unknown keys,
@@ -70,9 +79,12 @@ struct ExperimentDescriptor {
                             const ExperimentOptions&)>
       run_spec;
 
-  /// run_spec over default_spec() — the one-call smoke runner.
-  std::function<RunManifest(const Calibration&, const ExperimentOptions&)>
-      run_small;
+  /// run_spec's run (the same observation, the same manifest) plus the
+  /// driver's result rendered by its core/render.hpp overload. Campaign
+  /// cells call run_spec and never pay for rendering.
+  std::function<RenderedRun(const Json&, const Calibration&,
+                            const ExperimentOptions&)>
+      render;
 };
 
 /// All registered experiments, in presentation order (paper figures first,

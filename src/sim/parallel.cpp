@@ -11,7 +11,6 @@
 #include <mutex>
 #include <optional>
 #include <string>
-#include <string_view>
 #include <thread>
 
 #include "sim/observe.hpp"
@@ -20,10 +19,9 @@
 namespace ringent::sim {
 
 bool parse_jobs_value(const char* text, std::size_t& out) {
-  if (text == nullptr || *text == '\0') return false;
-  // strtoull silently wraps negative input ("-3" becomes 2^64 - 3); reject
-  // the sign up front.
-  if (*text == '-') return false;
+  // Digits only: strtoull would also skip leading blanks and accept a sign,
+  // and it silently wraps negative input ("-3" becomes 2^64 - 3).
+  if (text == nullptr || *text < '0' || *text > '9') return false;
   errno = 0;
   char* end = nullptr;
   const unsigned long long value = std::strtoull(text, &end, 10);
@@ -78,24 +76,6 @@ void run_task(std::size_t i, const std::function<void(std::size_t)>& task) {
 }
 
 }  // namespace
-
-std::size_t parse_jobs_arg(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg(argv[i]);
-    if (arg == "--jobs" && i + 1 < argc) {
-      std::size_t jobs = 0;
-      parse_jobs_value(argv[i + 1], jobs);
-      return jobs;
-    }
-    constexpr std::string_view prefix = "--jobs=";
-    if (arg.substr(0, prefix.size()) == prefix) {
-      std::size_t jobs = 0;
-      parse_jobs_value(argv[i] + prefix.size(), jobs);
-      return jobs;
-    }
-  }
-  return 0;
-}
 
 struct ThreadPool::Impl {
   std::mutex mutex;

@@ -43,16 +43,12 @@ std::size_t max_jobs();
 /// max_jobs() is clamped down to it.
 std::size_t resolve_jobs(std::size_t jobs);
 
-/// Parse the text of a --jobs / RINGENT_JOBS value. Returns true and stores
-/// the parsed count (0 = "use the default") on success; returns false — and
-/// leaves `out` untouched — on empty, non-numeric, negative, or overflowing
-/// text ("99999999999999999999" is rejected, not wrapped).
+/// Parse the text of a --jobs / RINGENT_JOBS value: plain decimal digits.
+/// Returns true and stores the parsed count (0 = "use the default") on
+/// success; returns false — and leaves `out` untouched — on empty,
+/// non-numeric, signed, blank-prefixed or overflowing text
+/// ("99999999999999999999" is rejected, not wrapped).
 bool parse_jobs_value(const char* text, std::size_t& out);
-
-/// Scan argv for "--jobs N" or "--jobs=N" (the convention of the sweep
-/// bench binaries). Returns 0 — i.e. "use the default" — when the flag is
-/// absent or its value fails parse_jobs_value().
-std::size_t parse_jobs_arg(int argc, char** argv);
 
 /// A fixed-size pool of worker threads executing indexed task batches.
 ///

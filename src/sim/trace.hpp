@@ -16,7 +16,6 @@
 //   cat "driver" — one span per experiment-driver invocation
 //   cat "axis"   — one span per sweep point (the body of a pool task)
 //   cat "pool"   — one span per ThreadPool task slot
-//   cat "bench"  — whole-binary spans opened by bench/cli.hpp
 //
 // With no traced scope current, a Span is one thread-local load. Recording
 // takes the file's mutex — acceptable at span granularity.

@@ -741,6 +741,97 @@ TEST(CampaignPlanFormat, ExpansionErrorsAreActionable) {
   EXPECT_THROW(expand_plan(invalid_value), Error);
 }
 
+TEST(CampaignPlanFormat, FigurePlansExpandToTheFiguresSpecs) {
+  // Each plan under examples/plans/figures/ is the exact configuration of
+  // one paper table or figure: its cells expand, in order, to the specs
+  // the figure is built from (struct defaults spelled out where they differ
+  // from the registry's small default, grids as the doubles a `+=` loop
+  // makes), all on the paper's seed and device.
+  using core::RingSpec;
+  const auto expect_cells = [](const std::string& name,
+                               const std::vector<Json>& specs) {
+    const CampaignPlan plan = load_plan(std::string(RINGENT_PLANS_DIR) +
+                                        "/figures/" + name + ".json");
+    const std::vector<CampaignCell> cells = expand_plan(plan);
+    ASSERT_EQ(cells.size(), specs.size()) << name;
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+      EXPECT_EQ(cells[i].spec.dump(), specs[i].dump())
+          << name << " cell " << i;
+      EXPECT_EQ(cells[i].seed, core::ExperimentOptions{}.seed) << name;
+      EXPECT_EQ(cells[i].device, core::cyclone_iii_profile) << name;
+    }
+  };
+  const std::vector<RingSpec> four = {RingSpec::iro(5), RingSpec::iro(80),
+                                      RingSpec::str(4), RingSpec::str(96)};
+
+  std::vector<double> volts;
+  for (double v = 1.0; v <= 1.4 + 1e-9; v += 0.05) volts.push_back(v);
+  std::vector<Json> fig08;
+  for (const RingSpec& ring : four) {
+    fig08.push_back(core::VoltageSweepSpec{ring, volts}.to_json());
+  }
+  expect_cells("fig08_voltage_sweep", fig08);
+
+  std::vector<Json> table1;
+  for (const RingSpec& ring :
+       {RingSpec::iro(5), RingSpec::iro(25), RingSpec::iro(80),
+        RingSpec::str(4), RingSpec::str(24), RingSpec::str(48),
+        RingSpec::str(64), RingSpec::str(96)}) {
+    table1.push_back(
+        core::VoltageSweepSpec{ring, {1.0, 1.1, 1.2, 1.3, 1.4}}.to_json());
+  }
+  expect_cells("table1_voltage_excursion", table1);
+
+  std::vector<Json> table2;  // the board_count axis sorts before ring
+  for (const unsigned boards : {5u, 25u}) {
+    for (const RingSpec& ring : {RingSpec::iro(3), RingSpec::iro(5),
+                                 RingSpec::str(4), RingSpec::str(96)}) {
+      table2.push_back(core::ProcessVariabilitySpec{ring, boards}.to_json());
+    }
+  }
+  expect_cells("table2_process_variability", table2);
+
+  std::vector<double> temps;
+  for (double t = -20.0; t <= 85.0 + 1e-9; t += 15.0) temps.push_back(t);
+  std::vector<Json> temperature;
+  for (const RingSpec& ring : four) {
+    temperature.push_back(core::TemperatureSweepSpec{ring, temps}.to_json());
+  }
+  expect_cells("ext_temperature", temperature);
+
+  std::vector<Json> sec5a;
+  for (const std::size_t stages : {4u, 8u, 16u, 24u, 32u, 48u, 64u, 96u}) {
+    core::ModeMapSpec map;
+    map.stages = stages;
+    map.token_counts = {stages / 2 - (stages / 2) % 2};
+    sec5a.push_back(map.to_json());
+  }
+  core::ModeMapSpec sweep;
+  sweep.stages = 32;
+  for (std::size_t nt = 2; nt <= 30; nt += 2) sweep.token_counts.push_back(nt);
+  sec5a.push_back(sweep.to_json());
+  expect_cells("sec5a_mode_map", sec5a);
+
+  std::vector<Json> restart;
+  for (const RingSpec& ring : {RingSpec::iro(5), RingSpec::iro(25),
+                               RingSpec::str(24), RingSpec::str(96)}) {
+    restart.push_back(core::RestartSpec{ring, 64, 256}.to_json());
+  }
+  expect_cells("ext_restart", restart);
+
+  core::EntropyMapSpec map;
+  map.stage_counts = {5, 9, 13};
+  map.sampling_periods = {Time::from_ns(125.0), Time::from_ns(250.0),
+                          Time::from_ns(500.0), Time::from_ns(1000.0)};
+  map.bits_per_cell = 4096;
+  map.restart_rows = 8;
+  map.restart_cols = 64;
+  expect_cells("ext_entropy_map", {map.to_json()});
+
+  expect_cells("ext_attack_resilience",
+               {core::AttackResilienceSpec::paper_default().to_json()});
+}
+
 // --- store -------------------------------------------------------------------
 
 TEST(CampaignStore, PutLoadRoundTripAndIndexFixpoint) {
@@ -936,7 +1027,8 @@ TEST(CampaignResume, StoreDoesNotDependOnWhereManifestsGo) {
   const fs::path here = fs::current_path();
   fs::current_path(cwd.path);
   run_campaign(plan, ResultStore(unset.str()));
-  (void)core::find_experiment("restart")->run_small(core::cyclone_iii(), {});
+  const core::ExperimentDescriptor* restart = core::find_experiment("restart");
+  (void)restart->run_spec(restart->default_spec(), core::cyclone_iii(), {});
   fs::current_path(here);
   if (!saved.empty()) setenv("RINGENT_OUT_DIR", saved.c_str(), 1);
 

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
+#include <string>
 
 #include "analysis/periods.hpp"
 #include "analysis/regression.hpp"
@@ -401,6 +402,27 @@ TEST(Export, ArtifactWritingRoundTrips) {
   std::getline(in, line);
   EXPECT_EQ(line, "a,b");
   EXPECT_THROW(write_artifact("bad/slug", table), PreconditionError);
+  unsetenv("RINGENT_OUT_DIR");
+}
+
+TEST(Export, UnwritableOutDirIsAPlainErrorNamingThePath) {
+  // A CSV that cannot be opened is a runtime failure a front end reports,
+  // not a violated precondition: no source path in the message.
+  Table table({"a"});
+  table.add_row({"1"});
+  const std::string dir = "/nonexistent-ringent-out-dir";
+  setenv("RINGENT_OUT_DIR", dir.c_str(), 1);
+  try {
+    write_artifact("unit-test", table);
+    ADD_FAILURE() << "expected ringent::Error";
+  } catch (const PreconditionError& error) {
+    ADD_FAILURE() << "a precondition error: " << error.what();
+  } catch (const Error& error) {
+    const std::string message = error.what();
+    EXPECT_NE(message.find(dir + "/unit-test.csv"), std::string::npos)
+        << message;
+    EXPECT_EQ(message.find(".cpp:"), std::string::npos) << message;
+  }
   unsetenv("RINGENT_OUT_DIR");
 }
 

@@ -12,14 +12,16 @@
 #include <cstdio>
 #include <fstream>
 #include <limits>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "cli.hpp"
 #include "common/json.hpp"
 #include "common/require.hpp"
 #include "core/export.hpp"
+#include "sim/observe.hpp"
 #include "sim/parallel.hpp"
 #include "sim/vcd_read.hpp"
 
@@ -157,15 +159,50 @@ TEST(FuzzRegressionVcd, FileErrorsCarryThePath) {
   std::remove(path.c_str());
 }
 
-// --- jobs parsing / clamping ------------------------------------------------
+// --- jobs parsing / clamping and the --observe grammar ----------------------
+
+namespace {
+
+/// The (flag, value) pairs of a pinned cli regression (newline-separated
+/// argv tokens), read the way a front end reads argv: "--flag value" or
+/// "--flag=value"; a flag with nothing after it has no value.
+std::vector<std::pair<std::string, std::optional<std::string>>> flag_values(
+    const std::string& name) {
+  std::vector<std::string> tokens;
+  std::istringstream in(regression(name));
+  for (std::string token; std::getline(in, token);) tokens.push_back(token);
+  std::vector<std::pair<std::string, std::optional<std::string>>> flags;
+  for (std::size_t i = 0; i < tokens.size(); ++i) {
+    const std::string& token = tokens[i];
+    const auto eq = token.find('=');
+    if (eq != std::string::npos) {
+      flags.emplace_back(token.substr(0, eq), token.substr(eq + 1));
+    } else if (i + 1 < tokens.size()) {
+      flags.emplace_back(token, tokens[++i]);
+    } else {
+      flags.emplace_back(token, std::nullopt);
+    }
+  }
+  return flags;
+}
+
+}  // namespace
 
 TEST(FuzzRegressionCli, JobsOverflowIsRejectedNotWrapped) {
   // Pre-fix: strtoull saturated to ULLONG_MAX unchecked and ThreadPool tried
-  // to spawn ~2^64 threads.
+  // to spawn ~2^64 threads; a negative count wrapped the same way.
   const std::string arg = regression("cli/jobs_overflow");
   ASSERT_EQ(arg, "--jobs=99999999999999999999");
-  const char* argv[] = {"bench", arg.c_str()};
-  EXPECT_EQ(sim::parse_jobs_arg(2, const_cast<char**>(argv)), 0u);
+  for (const char* name : {"cli/jobs_overflow", "cli/jobs_negative"}) {
+    const auto flags = flag_values(name);
+    ASSERT_EQ(flags.size(), 1u) << name;
+    EXPECT_EQ(flags[0].first, "--jobs") << name;
+    ASSERT_TRUE(flags[0].second.has_value()) << name;
+    std::size_t out = 7;
+    EXPECT_FALSE(sim::parse_jobs_value(flags[0].second->c_str(), out))
+        << name;
+    EXPECT_EQ(out, 7u) << name;  // untouched
+  }
 
   std::size_t out = 0;
   EXPECT_FALSE(sim::parse_jobs_value("99999999999999999999", out));
@@ -191,83 +228,57 @@ TEST(FuzzRegressionCli, ResolveJobsClampsToTheCeiling) {
   EXPECT_EQ(pool.jobs(), sim::max_jobs());
 }
 
-namespace {
-
-/// Split a pinned cli regression into an argv (argv[0] = "bench"), the way
-/// fuzz/fuzz_cli.cpp does, and parse it.
-bench::CliOptions parse_regression(const std::string& name,
-                                   std::FILE* diagnostics) {
-  std::vector<std::string> tokens = {"bench"};
-  std::istringstream in(regression(name));
-  for (std::string token; std::getline(in, token);) tokens.push_back(token);
-  std::vector<char*> argv;
-  for (auto& token : tokens) argv.push_back(token.data());
-  return bench::parse_cli(static_cast<int>(argv.size()), argv.data(),
-                          diagnostics);
-}
-
-std::string read_all(std::FILE* file) {
-  std::rewind(file);
-  std::string report;
-  char buffer[256];
-  while (std::fgets(buffer, sizeof(buffer), file) != nullptr) report += buffer;
-  std::fclose(file);
-  return report;
-}
-
-}  // namespace
-
-TEST(FuzzRegressionCli, ParseCliReportsUnusableValues) {
-  std::FILE* diagnostics = std::tmpfile();
-  ASSERT_NE(diagnostics, nullptr);
-  const char* argv[] = {"bench",     "--jobs",  "banana",
-                        "--jobs=-1", "--observe=trace=",
-                        "--observe", "metrics", "--observe"};
-  const bench::CliOptions options =
-      bench::parse_cli(8, const_cast<char**>(argv), diagnostics);
-  EXPECT_EQ(options.jobs, 0u);
-  EXPECT_TRUE(options.observe.metrics);
-  EXPECT_TRUE(options.observe.trace.empty());
-
-  const std::string report = read_all(diagnostics);
-  EXPECT_NE(report.find("--jobs value"), std::string::npos) << report;
-  EXPECT_NE(report.find("banana"), std::string::npos) << report;
-  EXPECT_NE(report.find("-1"), std::string::npos) << report;
-  EXPECT_NE(report.find("'trace' needs a file"), std::string::npos)
-      << report;
-  EXPECT_NE(report.find("--observe requires a value"), std::string::npos)
-      << report;
+TEST(FuzzRegressionCli, ParseJobsValueRejectsUnusableValues) {
+  // Digits only: a blank or a sign in front used to slip through strtoull
+  // (" -3" wrapped to 2^64 - 3).
+  for (const char* text : {"banana", "-1", " -3", " 4", "+4", "4 ", "1e3",
+                           "0x10", "4x"}) {
+    std::size_t out = 7;
+    EXPECT_FALSE(sim::parse_jobs_value(text, out)) << text;
+    EXPECT_EQ(out, 7u) << text;
+  }
+  std::vector<std::string> errors;
+  EXPECT_EQ(sim::parse_observe("trace=", &errors), sim::ObserveSpec{});
+  ASSERT_EQ(errors.size(), 1u);
+  EXPECT_NE(errors[0].find("'trace' needs a file"), std::string::npos)
+      << errors[0];
 }
 
 TEST(FuzzRegressionCli, ObserveRegressionsKeepTheirFailureClass) {
-  // A trailing --observe with no value: reported, the earlier value kept.
-  std::FILE* trailing = std::tmpfile();
-  ASSERT_NE(trailing, nullptr);
-  const bench::CliOptions kept =
-      parse_regression("cli/trace_trailing", trailing);
-  EXPECT_TRUE(kept.observe.metrics);
-  EXPECT_NE(read_all(trailing).find("--observe requires a value"),
-            std::string::npos);
+  // A trailing --observe with no value: the earlier value parses, the
+  // trailing flag has none to parse (ringent_cli makes that a usage error,
+  // pinned by the ringent_cli_usage_* ctest cases).
+  const auto trailing = flag_values("cli/trace_trailing");
+  ASSERT_EQ(trailing.size(), 2u);
+  ASSERT_TRUE(trailing[0].second.has_value());
+  EXPECT_TRUE(sim::parse_observe(*trailing[0].second).metrics);
+  EXPECT_EQ(trailing[1].first, "--observe");
+  EXPECT_FALSE(trailing[1].second.has_value());
 
   // Unusable values: a non-numeric --jobs and an empty trace file.
-  std::FILE* unusable = std::tmpfile();
-  ASSERT_NE(unusable, nullptr);
-  const bench::CliOptions fallback =
-      parse_regression("cli/unusable_values", unusable);
-  EXPECT_EQ(fallback.jobs, 0u);
-  EXPECT_EQ(fallback.observe, sim::ObserveSpec{});
-  const std::string report = read_all(unusable);
-  EXPECT_NE(report.find("banana"), std::string::npos) << report;
-  EXPECT_NE(report.find("'trace' needs a file"), std::string::npos) << report;
+  const auto unusable = flag_values("cli/unusable_values");
+  ASSERT_EQ(unusable.size(), 2u);
+  std::size_t jobs = 0;
+  EXPECT_EQ(unusable[0].first, "--jobs");
+  EXPECT_FALSE(sim::parse_jobs_value(unusable[0].second->c_str(), jobs));
+  EXPECT_EQ(unusable[1].first, "--observe");
+  std::vector<std::string> errors;
+  EXPECT_EQ(sim::parse_observe(*unusable[1].second, &errors),
+            sim::ObserveSpec{});
+  ASSERT_EQ(errors.size(), 1u);
+  EXPECT_NE(errors[0].find("'trace' needs a file"), std::string::npos)
+      << errors[0];
 }
 
 TEST(FuzzRegressionCli, SilentModeStaysSilentAndSafe) {
-  const std::string overflow = regression("cli/jobs_overflow");
-  const char* argv[] = {"bench", overflow.c_str(), "--observe"};
-  const bench::CliOptions options =
-      bench::parse_cli(3, const_cast<char**>(argv), nullptr);
-  EXPECT_EQ(options.jobs, 0u);
-  EXPECT_LE(sim::resolve_jobs(options.jobs), sim::max_jobs());
+  // With no error sink, parse_observe drops what it cannot use without
+  // throwing, and a rejected --jobs leaves the default, which resolves
+  // inside the ceiling.
+  EXPECT_EQ(sim::parse_observe("trace=,telemetry,bogus"), sim::ObserveSpec{});
+  std::size_t jobs = 0;
+  EXPECT_FALSE(sim::parse_jobs_value("99999999999999999999", jobs));
+  EXPECT_LE(sim::resolve_jobs(jobs), sim::max_jobs());
+  EXPECT_GE(sim::resolve_jobs(jobs), 1u);
 }
 
 // --- RunManifest::from_json -------------------------------------------------

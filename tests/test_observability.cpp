@@ -1,7 +1,7 @@
 // Tests for the observability layer: hand-counted ring metrics, phase
 // timers, observation scopes (nesting, threads, concurrent runs), the
-// --observe grammar, JSON values, run manifests (schema + round trip),
-// Chrome-trace span files and the shared bench CLI.
+// --observe grammar, JSON values, run manifests (schema + round trip) and
+// Chrome-trace span files.
 //
 // Every test observes through a scope of its own (sim/observe.hpp), so a
 // failing assertion cannot leak collection into later tests.
@@ -18,7 +18,6 @@
 #include <utility>
 #include <vector>
 
-#include "cli.hpp"
 #include "common/json.hpp"
 #include "common/require.hpp"
 #include "core/calibration.hpp"
@@ -506,16 +505,18 @@ TEST(Manifest, FailedWriteNeverChangesTheReturnedManifest) {
   core::ExperimentOptions options;
   options.jobs = 1;
   const core::RunManifest reference =
-      entry->run_small(core::cyclone_iii(), options);
+      entry->run_spec(entry->default_spec(), core::cyclone_iii(), options);
   ASSERT_GT(reference.metrics.counter(metrics::Counter::events_fired), 0u);
 
   // Poison this thread's last manifest, then fail the file write.
-  (void)core::find_experiment("voltage_sweep")
-      ->run_small(core::cyclone_iii(), options);
+  const core::ExperimentDescriptor* voltage =
+      core::find_experiment("voltage_sweep");
+  (void)voltage->run_spec(voltage->default_spec(), core::cyclone_iii(),
+                          options);
   const OutDirGuard out_dir;
   setenv("RINGENT_OUT_DIR", (out_dir.dir() + "/missing/dir").c_str(), 1);
   const core::RunManifest failed =
-      entry->run_small(core::cyclone_iii(), options);
+      entry->run_spec(entry->default_spec(), core::cyclone_iii(), options);
   EXPECT_EQ(failed.experiment, "restart");
   EXPECT_EQ(failed.metrics.counters, reference.metrics.counters);
   EXPECT_EQ(failed.tasks, reference.tasks);
@@ -549,7 +550,7 @@ core::RunManifest run_default(const char* name, std::size_t jobs) {
   RINGENT_REQUIRE(entry != nullptr, "unknown experiment");
   core::ExperimentOptions options;
   options.jobs = jobs;
-  return entry->run_small(core::cyclone_iii(), options);
+  return entry->run_spec(entry->default_spec(), core::cyclone_iii(), options);
 }
 
 }  // namespace
@@ -622,6 +623,47 @@ TEST(Scope, RunSpecWithoutOutDirWritesNoFile) {
   const bool empty = std::filesystem::is_empty(scratch.dir());
   std::filesystem::current_path(cwd);
   EXPECT_TRUE(empty);
+}
+
+TEST(Scope, ParentTotalIsTheSumOfItsDrivers) {
+  // A front end opens one scope and runs several drivers under it: when
+  // they close, the parent holds exactly the sum of their histograms.
+  const OutDirGuard out_dir;
+  const std::string path = out_dir.dir() + "/drivers.jsonl";
+  core::TelemetrySnapshot parent;
+  {
+    sim::ObserveSpec observe;
+    observe.telemetry = path;
+    const sim::Scope scope(sim::Collect::from(observe), nullptr);
+    core::ExperimentOptions run;
+    run.jobs = 2;
+    (void)core::run_voltage_sweep(
+        core::VoltageSweepSpec{core::RingSpec::iro(3), {1.1, 1.2}, 10},
+        core::cyclone_iii(), run);
+    (void)core::run_restart_experiment(
+        core::RestartSpec{core::RingSpec::iro(5), 8, 16},
+        core::cyclone_iii(), run);
+    parent = core::TelemetrySnapshot::of("parent", scope, 0.0);
+  }
+  std::vector<core::TelemetrySnapshot> lines;
+  std::istringstream in(read_file(path));
+  for (std::string line; std::getline(in, line);) {
+    lines.push_back(core::TelemetrySnapshot::from_json(Json::parse(line)));
+  }
+  ASSERT_EQ(lines.size(), 2u);  // one snapshot per driver
+  EXPECT_FALSE(parent.histograms.empty());
+  for (const auto& total : parent.histograms) {
+    std::uint64_t count = 0, sum = 0;
+    for (std::size_t d = 0; d < 2; ++d) {
+      for (const auto& h : lines[d].histograms) {
+        if (h.name != total.name) continue;
+        count += h.count;
+        sum += h.sum;
+      }
+    }
+    EXPECT_EQ(total.count, count) << total.name;
+    EXPECT_EQ(total.sum, sum) << total.name;
+  }
 }
 
 // --- the --observe grammar ---------------------------------------------------
@@ -785,138 +827,3 @@ TEST(Trace, SpansAreFreeWhenInactive) {
   { const trace::Span span("ignored", "bench"); }
 }
 
-// --- bench CLI ---------------------------------------------------------------
-
-TEST(BenchCli, ParsesSharedFlags) {
-  const char* argv_full[] = {"bench",     "--jobs",
-                             "4",         "--observe",
-                             "metrics,trace=t.json", "leftover"};
-  const bench::CliOptions full =
-      bench::parse_cli(6, const_cast<char**>(argv_full));
-  EXPECT_EQ(full.jobs, 4u);
-  EXPECT_TRUE(full.observe.metrics);
-  EXPECT_EQ(full.observe.trace, "t.json");
-
-  const char* argv_eq[] = {"bench", "--jobs=2", "--observe=trace=x.json"};
-  const bench::CliOptions eq =
-      bench::parse_cli(3, const_cast<char**>(argv_eq));
-  EXPECT_EQ(eq.jobs, 2u);
-  EXPECT_FALSE(eq.observe.metrics);
-  EXPECT_EQ(eq.observe.trace, "x.json");
-
-  const char* argv_none[] = {"bench"};
-  const bench::CliOptions none =
-      bench::parse_cli(1, const_cast<char**>(argv_none));
-  EXPECT_EQ(none.jobs, 0u);
-  EXPECT_EQ(none.observe, sim::ObserveSpec{});
-
-  // Malformed values degrade to the defaults rather than throwing; the
-  // warnings they trigger are asserted in test_fuzz_regressions.cpp.
-  const char* argv_bad[] = {"bench", "--jobs", "potato", "--observe"};
-  const bench::CliOptions bad =
-      bench::parse_cli(4, const_cast<char**>(argv_bad), /*diagnostics=*/nullptr);
-  EXPECT_EQ(bad.jobs, 0u);
-  EXPECT_EQ(bad.observe, sim::ObserveSpec{});
-}
-
-TEST(BenchCli, ParsesTelemetryFlag) {
-  const char* argv_split[] = {"bench", "--observe", "telemetry=t.jsonl"};
-  const bench::CliOptions split =
-      bench::parse_cli(3, const_cast<char**>(argv_split));
-  EXPECT_EQ(split.observe.telemetry, "t.jsonl");
-
-  const char* argv_eq[] = {"bench", "--observe=telemetry=scrape.prom"};
-  const bench::CliOptions eq =
-      bench::parse_cli(2, const_cast<char**>(argv_eq));
-  EXPECT_EQ(eq.observe.telemetry, "scrape.prom");
-
-  // A sink with no path degrades to "no telemetry", not a throw.
-  for (const char* arg : {"--observe=", "--observe=telemetry=",
-                          "--observe=telemetry"}) {
-    const char* argv_bad[] = {"bench", arg};
-    const bench::CliOptions bad = bench::parse_cli(
-        2, const_cast<char**>(argv_bad), /*diagnostics=*/nullptr);
-    EXPECT_TRUE(bad.observe.telemetry.empty()) << arg;
-  }
-}
-
-TEST(BenchCli, SessionStreamsBenchTotalSnapshot) {
-  const OutDirGuard out_dir;
-  const std::string path = out_dir.dir() + "/bench.jsonl";
-  {
-    bench::CliOptions options;
-    options.observe.telemetry = path;
-    const bench::Session session(options, "unit-bench");
-    EXPECT_TRUE(sim::telemetry::enabled());
-    sim::telemetry::record(sim::telemetry::Histogram::queue_depth, 3);
-  }
-  EXPECT_FALSE(sim::telemetry::enabled());
-  // Session's destructor appends the whole-binary summary snapshot.
-  const std::string content = read_file(path);
-  ASSERT_FALSE(content.empty());
-  const auto snapshot =
-      core::TelemetrySnapshot::from_json(Json::parse(content.substr(
-          0, content.find('\n'))));
-  EXPECT_EQ(snapshot.experiment, "unit-bench-total");
-  ASSERT_EQ(snapshot.histograms.size(), 1u);
-  EXPECT_EQ(snapshot.histograms[0].name, "queue_depth");
-  EXPECT_EQ(snapshot.histograms[0].count, 1u);
-}
-
-TEST(BenchCli, SessionTotalIsTheSumOfItsDrivers) {
-  const OutDirGuard out_dir;
-  const std::string path = out_dir.dir() + "/drivers.jsonl";
-  {
-    bench::CliOptions options;
-    options.observe.telemetry = path;
-    const bench::Session session(options, "unit-bench");
-    core::ExperimentOptions run;
-    run.jobs = 2;
-    (void)core::run_voltage_sweep(
-        core::VoltageSweepSpec{core::RingSpec::iro(3), {1.1, 1.2}, 10},
-        core::cyclone_iii(), run);
-    (void)core::run_restart_experiment(
-        core::RestartSpec{core::RingSpec::iro(5), 8, 16},
-        core::cyclone_iii(), run);
-  }
-  std::vector<core::TelemetrySnapshot> lines;
-  std::istringstream in(read_file(path));
-  for (std::string line; std::getline(in, line);) {
-    lines.push_back(core::TelemetrySnapshot::from_json(Json::parse(line)));
-  }
-  ASSERT_EQ(lines.size(), 3u);
-  EXPECT_EQ(lines[2].experiment, "unit-bench-total");
-  for (const auto& total : lines[2].histograms) {
-    std::uint64_t count = 0, sum = 0;
-    for (std::size_t d = 0; d < 2; ++d) {
-      for (const auto& h : lines[d].histograms) {
-        if (h.name != total.name) continue;
-        count += h.count;
-        sum += h.sum;
-      }
-    }
-    EXPECT_EQ(total.count, count) << total.name;
-    EXPECT_EQ(total.sum, sum) << total.name;
-  }
-  EXPECT_FALSE(lines[2].histograms.empty());
-}
-
-TEST(BenchCli, SessionAppliesFlagsAndFlushesTrace) {
-  const OutDirGuard out_dir;
-  const std::string path = out_dir.dir() + "/session.json";
-  {
-    bench::CliOptions options;
-    options.observe.metrics = true;
-    options.observe.trace = path;
-    const bench::Session session(options, "unit-bench");
-    EXPECT_TRUE(metrics::enabled());
-    EXPECT_TRUE(trace::enabled());
-  }
-  // Session closes the trace it opened on destruction.
-  EXPECT_FALSE(metrics::enabled());
-  EXPECT_FALSE(trace::enabled());
-  const Json doc = Json::parse(read_file(path));
-  ASSERT_GE(doc.at("traceEvents").size(), 2u);
-  EXPECT_EQ(doc.at("traceEvents").at(std::size_t{0}).at("name").as_string(),
-            "unit-bench");
-}

@@ -109,23 +109,22 @@ TEST(ParallelJobs, ResolveAndArgParsing) {
   EXPECT_EQ(sim::resolve_jobs(5), 5u);
   EXPECT_EQ(sim::resolve_jobs(0), sim::default_jobs());
 
-  const char* argv_split[] = {"bench", "--jobs", "6"};
-  EXPECT_EQ(sim::parse_jobs_arg(3, const_cast<char**>(argv_split)), 6u);
-  const char* argv_eq[] = {"bench", "--jobs=12"};
-  EXPECT_EQ(sim::parse_jobs_arg(2, const_cast<char**>(argv_eq)), 12u);
-  const char* argv_none[] = {"bench", "--other"};
-  EXPECT_EQ(sim::parse_jobs_arg(2, const_cast<char**>(argv_none)), 0u);
-  const char* argv_bad[] = {"bench", "--jobs", "banana"};
-  EXPECT_EQ(sim::parse_jobs_arg(3, const_cast<char**>(argv_bad)), 0u);
+  std::size_t jobs = 0;
+  EXPECT_TRUE(sim::parse_jobs_value("6", jobs));
+  EXPECT_EQ(jobs, 6u);
+  EXPECT_TRUE(sim::parse_jobs_value("12", jobs));
+  EXPECT_EQ(jobs, 12u);
+  EXPECT_FALSE(sim::parse_jobs_value("banana", jobs));
+  EXPECT_EQ(jobs, 12u);  // a rejected value leaves the last one
 }
 
 TEST(ParallelJobs, OverflowIsRejectedAndTheCeilingHolds) {
   // strtoull overflow used to be accepted verbatim, asking ThreadPool for
   // ~2^64 threads (fuzz/regressions/cli/jobs_overflow).
-  const char* argv_huge[] = {"bench", "--jobs=99999999999999999999"};
-  EXPECT_EQ(sim::parse_jobs_arg(2, const_cast<char**>(argv_huge)), 0u);
-  const char* argv_negative[] = {"bench", "--jobs", "-4"};
-  EXPECT_EQ(sim::parse_jobs_arg(3, const_cast<char**>(argv_negative)), 0u);
+  std::size_t jobs = 0;
+  EXPECT_FALSE(sim::parse_jobs_value("99999999999999999999", jobs));
+  EXPECT_FALSE(sim::parse_jobs_value("-4", jobs));
+  EXPECT_EQ(jobs, 0u);
 
   EXPECT_GE(sim::max_jobs(), 8u);
   EXPECT_EQ(sim::resolve_jobs(sim::max_jobs() + 100), sim::max_jobs());

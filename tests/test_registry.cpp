@@ -1,6 +1,7 @@
 // The experiment registry is the CLI's dispatch surface: every driver must
-// be present exactly once, lookups must be total, and run_small must hand
-// back the driver's own run manifest, observed in a scope of its own.
+// be present exactly once, lookups must be total, run_spec must hand back
+// the driver's own run manifest, observed in a scope of its own, and every
+// entry must render its result the same way at any worker count.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -30,7 +31,7 @@ TEST(Registry, CoversEveryDriverExactlyOnce) {
     EXPECT_FALSE(entry.name.empty());
     EXPECT_FALSE(entry.summary.empty());
     EXPECT_FALSE(entry.source.empty());
-    EXPECT_TRUE(static_cast<bool>(entry.run_small)) << entry.name;
+    EXPECT_TRUE(static_cast<bool>(entry.render)) << entry.name;
     // The JSON-spec surface (campaign orchestration) is total: every
     // experiment declares a schema, committed defaults, a validating
     // canonicalizer and a run_spec entry point.
@@ -60,8 +61,8 @@ TEST(Registry, FindExperimentIsTotal) {
   EXPECT_EQ(find_experiment(""), nullptr);
 }
 
-TEST(Registry, RunSmallReturnsTheDriversManifestAndRestoresMetricsState) {
-  // No scope is current going in; run_small must observe the driver in a
+TEST(Registry, RunSpecReturnsTheDriversManifestAndRestoresMetricsState) {
+  // No scope is current going in; run_spec must observe the driver in a
   // scope of its own (so a manifest exists), then leave none behind.
   ASSERT_EQ(sim::Scope::current(), nullptr);
   const ExperimentDescriptor* exp = find_experiment("restart");
@@ -69,7 +70,8 @@ TEST(Registry, RunSmallReturnsTheDriversManifestAndRestoresMetricsState) {
 
   ExperimentOptions options;
   options.jobs = 2;
-  const RunManifest manifest = exp->run_small(cyclone_iii(), options);
+  const RunManifest manifest =
+      exp->run_spec(exp->default_spec(), cyclone_iii(), options);
   EXPECT_EQ(sim::Scope::current(), nullptr);
   EXPECT_FALSE(sim::metrics::enabled());
 
@@ -96,7 +98,8 @@ TEST(Registry, EveryDriverStreamsATelemetrySnapshot) {
     const sim::Scope scope(sim::Collect::from(observe), nullptr);
     ASSERT_TRUE(sim::telemetry::enabled());
     for (const auto& entry : experiment_registry()) {
-      runs.emplace_back(entry.name, entry.run_small(cyclone_iii(), options));
+      runs.emplace_back(entry.name, entry.run_spec(entry.default_spec(),
+                                                   cyclone_iii(), options));
     }
   }
   EXPECT_FALSE(sim::telemetry::enabled());
@@ -127,4 +130,24 @@ TEST(Registry, EveryDriverStreamsATelemetrySnapshot) {
     experiments.insert(snapshot.experiment);
   }
   EXPECT_EQ(experiments.size(), runs.size());  // one distinct slug per driver
+}
+
+TEST(Registry, EveryEntryRenders) {
+  // Each entry's default spec renders a non-empty table and headline, and
+  // the text is the same at any worker count (it reads no clock and no
+  // job count). The manifest render returns is the run_spec manifest.
+  for (const auto& entry : experiment_registry()) {
+    ExperimentOptions options;
+    options.jobs = 1;
+    const RenderedRun one =
+        entry.render(entry.default_spec(), cyclone_iii(), options);
+    options.jobs = 4;
+    const RenderedRun four =
+        entry.render(entry.default_spec(), cyclone_iii(), options);
+    EXPECT_GT(one.rendering.table.rows(), 0u) << entry.name;
+    EXPECT_FALSE(one.rendering.headlines.empty()) << entry.name;
+    EXPECT_EQ(one.rendering.text(), four.rendering.text()) << entry.name;
+    EXPECT_EQ(one.manifest.experiment.rfind(entry.name, 0), 0u) << entry.name;
+    EXPECT_EQ(four.manifest.jobs, 4u) << entry.name;
+  }
 }
