@@ -2,17 +2,15 @@
 //
 // The paper's curve shows sqrt accumulation (Eq. 4) and extracts
 // sigma_g ~ 2 ps per LUT (Eq. 7). Here the whole chain runs through the
-// instrument model: ring -> divider -> oscilloscope -> Eq. 6.
-#include <cmath>
+// instrument model: ring -> divider -> oscilloscope -> Eq. 6. The table and
+// its sqrt-law and power-law fits are the jitter_vs_stages rendering
+// (core/render.hpp); this binary only pins the ring to board 0.
 #include <cstdio>
-#include <vector>
 
-#include "analysis/regression.hpp"
 #include "common/require.hpp"
 #include "core/experiments.hpp"
 #include "core/export.hpp"
-#include "core/report.hpp"
-#include "measure/method.hpp"
+#include "core/render.hpp"
 #include "sim/parallel.hpp"
 
 using namespace ringent;
@@ -20,13 +18,11 @@ using namespace ringent::core;
 
 int main() {
   const auto& cal = cyclone_iii();
-  const std::vector<std::size_t> stages = {3, 5, 9, 15, 25, 40, 60, 80};
-
   ExperimentOptions options;
   options.board_index = 0;
   JitterSweepSpec sweep;
   sweep.kind = RingKind::iro;
-  sweep.stage_counts = stages;
+  sweep.stage_counts = {3, 5, 9, 15, 25, 40, 60, 80};
   sweep.mes_periods = 220;
 
   std::printf("# Fig. 11 reproduction: IRO period jitter vs number of "
@@ -36,38 +32,15 @@ int main() {
               sim::resolve_jobs(0));
   std::printf("\n");
 
-  const auto points = run_jitter_vs_stages(sweep, cal, options);
-
-  Table table({"k (stages)", "T (ps)", "sigma_p method", "sigma_p truth",
-               "sigma_g = sigma_p/sqrt(2k)", "sqrt(2k)*2ps"});
-  std::vector<double> ks, sigmas;
-  for (const auto& p : points) {
-    ks.push_back(static_cast<double>(p.stages));
-    sigmas.push_back(p.sigma_p_ps);
-    table.add_row({std::to_string(p.stages), fmt_double(p.mean_period_ps, 1),
-                   fmt_ps(p.sigma_p_ps), fmt_ps(p.sigma_direct_ps),
-                   fmt_ps(p.sigma_g_ps),
-                   fmt_ps(measure::iro_sigma_p_ps(2.0, p.stages))});
-  }
-  std::printf("%s\n", table.str().c_str());
-  // A CSV that cannot be written is reported and fails the run once the
-  // figure is printed.
-  int status = 0;
+  const Rendering rendering =
+      render(sweep, run_jitter_vs_stages(sweep, cal, options), cal);
+  std::printf("%s", rendering.text().c_str());
   try {
-    write_artifact("fig11_iro_jitter", table,
+    write_artifact("fig11_iro_jitter", rendering.table,
                    "IRO sigma_p vs stages through the instrument chain");
   } catch (const Error& error) {
     std::fprintf(stderr, "error: %s\n", error.what());
-    status = 1;
+    return 1;
   }
-
-  const auto sqrt_fit = analysis::sqrt_law_fit(ks, sigmas);
-  const auto power_fit = analysis::power_law_fit(ks, sigmas);
-  std::printf("sqrt-law fit:  sigma_p = %.2f ps * sqrt(k)   (R^2 = %.4f)\n",
-              sqrt_fit.coefficient, sqrt_fit.r2);
-  std::printf("  => sigma_g = %.2f ps   (paper: ~2 ps)\n",
-              sqrt_fit.coefficient / std::sqrt(2.0));
-  std::printf("free-exponent fit: sigma_p ~ k^%.3f   (paper/Eq. 4: 0.5)\n",
-              power_fit.exponent);
-  return status;
+  return 0;
 }

@@ -2,19 +2,19 @@
 //
 // The paper's result: sigma_p is flat in the ring length (2-4 ps band),
 // converging toward sqrt(2) sigma_g — each STR stage is an independent
-// entropy source and the ring length buys robustness for free. We report
-// both the ground-truth period sigma (flat ~3.5 ps here) and the
-// divided-clock method readout (the long-horizon diffusion rate, which the
-// idealized Charlie regulation holds below the i.i.d. extrapolation; see
-// EXPERIMENTS.md).
-#include <algorithm>
+// entropy source and the ring length buys robustness for free. The
+// jitter_vs_stages rendering (core/render.hpp) reports both the
+// ground-truth period sigma (flat ~3.5 ps here) and the divided-clock
+// method readout (the long-horizon diffusion rate, which the idealized
+// Charlie regulation holds below the i.i.d. extrapolation; see
+// EXPERIMENTS.md), with the truth's power-law exponent and flatness. This
+// binary only pins the ring to board 0.
 #include <cstdio>
-#include <vector>
 
-#include "analysis/regression.hpp"
 #include "common/require.hpp"
 #include "core/experiments.hpp"
 #include "core/export.hpp"
+#include "core/render.hpp"
 #include "core/report.hpp"
 #include "measure/method.hpp"
 #include "sim/parallel.hpp"
@@ -24,13 +24,11 @@ using namespace ringent::core;
 
 int main() {
   const auto& cal = cyclone_iii();
-  const std::vector<std::size_t> stages = {4, 8, 16, 24, 32, 48, 64, 96};
-
   ExperimentOptions options;
   options.board_index = 0;
   JitterSweepSpec sweep;
   sweep.kind = RingKind::str;
-  sweep.stage_counts = stages;
+  sweep.stage_counts = {4, 8, 16, 24, 32, 48, 64, 96};
   sweep.mes_periods = 220;
 
   std::printf("# Fig. 12 reproduction: STR period jitter vs number of "
@@ -41,37 +39,15 @@ int main() {
               "an IRO\n# sqrt(2) sigma_g = %s\n\n",
               fmt_ps(measure::str_sigma_p_ps(cal.sigma_g_ps)).c_str());
 
-  const auto points = run_jitter_vs_stages(sweep, cal, options);
-
-  Table table({"L (stages)", "T (ps)", "sigma_p truth", "method (diffusion)",
-               "IRO at same L would give"});
-  std::vector<double> ls, truth;
-  for (const auto& p : points) {
-    ls.push_back(static_cast<double>(p.stages));
-    truth.push_back(p.sigma_direct_ps);
-    table.add_row({std::to_string(p.stages), fmt_double(p.mean_period_ps, 1),
-                   fmt_ps(p.sigma_direct_ps), fmt_ps(p.sigma_p_ps),
-                   fmt_ps(measure::iro_sigma_p_ps(2.0, p.stages))});
-  }
-  std::printf("%s\n", table.str().c_str());
-  // A CSV that cannot be written is reported and fails the run once the
-  // figure is printed.
-  int status = 0;
+  const Rendering rendering =
+      render(sweep, run_jitter_vs_stages(sweep, cal, options), cal);
+  std::printf("%s", rendering.text().c_str());
   try {
-    write_artifact("fig12_str_jitter", table,
+    write_artifact("fig12_str_jitter", rendering.table,
                    "STR sigma_p vs stages: truth + diffusion readout");
   } catch (const Error& error) {
     std::fprintf(stderr, "error: %s\n", error.what());
-    status = 1;
+    return 1;
   }
-
-  const auto fit = analysis::power_law_fit(ls, truth);
-  std::printf("scaling fit: sigma_p ~ L^%.3f   (paper/Eq. 5: 0; an IRO "
-              "would give 0.5)\n",
-              fit.exponent);
-  const double spread =
-      *std::max_element(truth.begin(), truth.end()) -
-      *std::min_element(truth.begin(), truth.end());
-  std::printf("flatness: max-min over 4..96 stages = %.2f ps\n", spread);
-  return status;
+  return 0;
 }

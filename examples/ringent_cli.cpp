@@ -27,11 +27,12 @@
 // schema name) — with metrics on, prints the driver's rendered result
 // (core/render.hpp: a table plus its headline fits), then the run manifest
 // the driver built. With RINGENT_OUT_DIR set, the manifest and the table
-// (as CSV) are also written there, both named after the manifest's
-// experiment slug. Given a campaign plan instead of a name, `run` expands
-// it (campaign::expand_plan) and does the same for every cell in plan
-// order, with no store: examples/plans/figures/ holds one plan per paper
-// table or figure built from registered experiments. With `--observe
+// (as CSV) are also written there, both named after the experiment slug.
+// Given a campaign plan instead of a name, `run` expands it
+// (campaign::expand_plan) and does the same for every cell in plan order,
+// with no store, naming cell i's files <plan-stem>-<i>-<experiment>:
+// examples/plans/figures/ holds one plan per paper table or figure built
+// from registered experiments. With `--observe
 // metrics` it additionally prints the full counter/phase/histogram
 // breakdown as a human-readable table on stderr (stdout keeps the stable
 // manifest summary, so scripts scraping it are unaffected).
@@ -47,11 +48,13 @@
 //
 // Exit code 0 on success, 2 on usage errors, 1 on runtime errors.
 #include <algorithm>
+#include <cctype>
 #include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <map>
 #include <sstream>
@@ -423,8 +426,9 @@ void print_metrics_table(const RunManifest& manifest, std::FILE* out) {
 /// Run `exp` on `spec` through its render route and print, in order: the
 /// entry's heading, the rendered table and headlines, and the manifest
 /// summary. With RINGENT_OUT_DIR set the table is also written there as
-/// <experiment>.csv, next to the manifest; a table that cannot be written
-/// is reported and the run carries on, as a manifest is.
+/// <artifact>.csv, next to <artifact>.manifest.json, where the artifact
+/// name is options.artifact or else the experiment slug; a table that
+/// cannot be written is reported and the run carries on, as a manifest is.
 void print_run(const std::string& heading, const ExperimentDescriptor& exp,
                const Json& spec, const Calibration& calibration,
                const ExperimentOptions& options) {
@@ -433,8 +437,10 @@ void print_run(const std::string& heading, const ExperimentDescriptor& exp,
   std::printf("%s%s — %s (%s)\n", heading.c_str(), exp.name.c_str(),
               exp.summary.c_str(), exp.source.c_str());
   std::printf("%s", run.rendering.text().c_str());
+  const std::string artifact =
+      options.artifact.empty() ? manifest.experiment : options.artifact;
   try {
-    write_artifact(manifest.experiment, run.rendering.table, manifest.spec);
+    write_artifact(artifact, run.rendering.table, manifest.spec);
   } catch (const Error& error) {
     std::fprintf(stderr, "ringent: dropping table artifact: %s\n",
                  error.what());
@@ -459,7 +465,7 @@ void print_run(const std::string& heading, const ExperimentDescriptor& exp,
   }
   const auto dir = artifact_dir();
   std::printf("  manifest: %s\n",
-              dir ? (*dir + "/" + manifest.experiment + ".manifest.json").c_str()
+              dir ? (*dir + "/" + artifact + ".manifest.json").c_str()
                   : "not written (set RINGENT_OUT_DIR to keep it)");
   const sim::Scope& scope = *sim::Scope::current();
   if (const auto& sink = scope.collects().telemetry) {
@@ -469,7 +475,9 @@ void print_run(const std::string& heading, const ExperimentDescriptor& exp,
 }
 
 /// `run <plan.json>`: every cell of the expanded plan, in plan order, with
-/// the cell's own seed and the plan's device. Nothing is cached.
+/// the cell's own seed and the plan's device. Nothing is cached. Cell i
+/// (from 1) of plan file <stem>.json keeps its artifacts under the name
+/// <stem>-<i>-<experiment>, so no cell overwrites another's.
 int run_plan(const std::string& path, const Args& args) {
   if (args.flag("spec") || args.flag("seed")) {
     throw UsageError("--spec and --seed do not apply to a plan: its cells "
@@ -479,11 +487,18 @@ int run_plan(const std::string& path, const Args& args) {
   const Calibration& calibration = find_device_profile(plan.device);
   const std::vector<campaign::CampaignCell> cells =
       campaign::expand_plan(plan);
+  // The plan file's stem, made a filesystem-safe slug.
+  std::string stem = std::filesystem::path(path).stem().string();
+  for (char& c : stem) {
+    if (!std::isalnum(static_cast<unsigned char>(c)) && c != '-') c = '_';
+  }
   ExperimentOptions options;
   options.jobs = args.jobs();
   for (std::size_t i = 0; i < cells.size(); ++i) {
     if (i != 0) std::printf("\n");
     options.seed = cells[i].seed;
+    options.artifact = stem + "-" + std::to_string(i + 1) + "-" +
+                       cells[i].experiment;
     print_run("[" + std::to_string(i + 1) + "/" +
                   std::to_string(cells.size()) + "] ",
               *find_experiment(cells[i].experiment), cells[i].spec,

@@ -59,6 +59,7 @@ class DriverScope {
       : span_(experiment, "driver"), out_(options.manifest) {
     if (sim::Scope::current() == nullptr) return;
     scope_.emplace();
+    artifact_ = options.artifact;
     manifest_.experiment = std::move(experiment);
     manifest_.spec = std::move(spec);
     manifest_.seed = options.seed;
@@ -88,7 +89,7 @@ class DriverScope {
     }
     if (scope_->collects().metrics) {
       if (out_ != nullptr) *out_ = manifest_;
-      report([&] { write_run_manifest(manifest_); });
+      report([&] { write_run_manifest(manifest_, artifact_); });
     }
   }
 
@@ -105,6 +106,7 @@ class DriverScope {
 
   sim::trace::Span span_;
   RunManifest* out_ = nullptr;
+  std::string artifact_;
   std::optional<sim::Scope> scope_;  ///< this run alone; empty = unobserved
   RunManifest manifest_;
   double wall_start_ = 0.0;

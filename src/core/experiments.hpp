@@ -62,6 +62,12 @@ struct ExperimentOptions {
   /// last_run_manifest() and RINGENT_OUT_DIR. The registry's run_spec
   /// points it at the manifest it returns.
   RunManifest* manifest = nullptr;
+
+  /// File stem of the run's artifacts under RINGENT_OUT_DIR
+  /// (<dir>/<artifact>.manifest.json); empty = the experiment slug. A caller
+  /// that runs one experiment several times into one directory, as
+  /// `ringent_cli run <plan.json>` does, names each run apart.
+  std::string artifact;
 };
 
 // --- Fig. 8 / Table I: sensitivity to voltage variations -------------------

@@ -201,9 +201,11 @@ namespace {
 thread_local std::optional<RunManifest> last_manifest;
 }  // namespace
 
-std::string write_run_manifest(const RunManifest& manifest) {
-  RINGENT_REQUIRE(!manifest.experiment.empty(), "empty experiment id");
-  for (char c : manifest.experiment) {
+std::string write_run_manifest(const RunManifest& manifest,
+                               const std::string& artifact) {
+  const std::string& stem = artifact.empty() ? manifest.experiment : artifact;
+  RINGENT_REQUIRE(!stem.empty(), "empty experiment id");
+  for (char c : stem) {
     RINGENT_REQUIRE(std::isalnum(static_cast<unsigned char>(c)) || c == '-' ||
                         c == '_',
                     "experiment id must be a filesystem-safe slug");
@@ -211,7 +213,7 @@ std::string write_run_manifest(const RunManifest& manifest) {
   last_manifest = manifest;
   const auto dir = artifact_dir();
   if (!dir.has_value()) return "";
-  const std::string path = *dir + "/" + manifest.experiment + ".manifest.json";
+  const std::string path = *dir + "/" + stem + ".manifest.json";
   std::ofstream out(path);
   if (!out.good()) throw Error("cannot open manifest file " + path);
   out << manifest.to_json().dump(2) << "\n";

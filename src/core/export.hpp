@@ -12,8 +12,9 @@
 // builds one RunManifest from its own scope — spec, master seed, resolved
 // jobs, wall/CPU totals, per-phase timers and the counters of that run
 // alone, even when other runs share the process. Like CSV artifacts, the
-// manifest is written as <dir>/<experiment>.manifest.json only when
-// RINGENT_OUT_DIR names <dir>. The schema is versioned
+// manifest is written as <dir>/<experiment>.manifest.json (or under the
+// run's ExperimentOptions::artifact name) only when RINGENT_OUT_DIR names
+// <dir>. The schema is versioned
 // ("ringent.run-manifest/1") and round-trip checked by the test suite.
 //
 // Telemetry snapshots are the distribution-level companion: when the scope
@@ -95,10 +96,12 @@ struct RunManifest {
 };
 
 /// Record `manifest` as this thread's last_run_manifest(), then serialize
-/// it to <dir>/<experiment>.manifest.json when RINGENT_OUT_DIR names <dir>.
-/// Returns the path written ("" when RINGENT_OUT_DIR is unset). Throws on
-/// I/O failure, which leaves the recorded manifest as it is.
-std::string write_run_manifest(const RunManifest& manifest);
+/// it to <dir>/<artifact>.manifest.json when RINGENT_OUT_DIR names <dir>
+/// (an empty `artifact` means the experiment slug). Returns the path
+/// written ("" when RINGENT_OUT_DIR is unset). Throws on I/O failure, which
+/// leaves the recorded manifest as it is.
+std::string write_run_manifest(const RunManifest& manifest,
+                               const std::string& artifact);
 
 /// The last manifest a driver built on this thread (empty before the
 /// first). Lets a caller that ran a campaign or a driver read its counters

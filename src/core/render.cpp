@@ -108,8 +108,8 @@ Rendering render(const ProcessVariabilitySpec& spec,
   return out;
 }
 
-Rendering render(const JitterSweepSpec&, const std::vector<JitterPoint>& result,
-                 const Calibration&) {
+Rendering render(const JitterSweepSpec& spec,
+                 const std::vector<JitterPoint>& result, const Calibration&) {
   Rendering out{Table({"stages", "T (ps)", "sigma_p method", "sigma_p truth",
                        "sigma_g = sigma_p/sqrt(2k)"}),
                 {}};
@@ -123,22 +123,28 @@ Rendering render(const JitterSweepSpec&, const std::vector<JitterPoint>& result,
     truth.push_back(p.sigma_direct_ps);
   }
   if (result.empty()) return out;
-  const auto sqrt_fit = analysis::sqrt_law_fit(stages, method);
-  out.headlines.push_back(
-      format("sqrt-law fit:  sigma_p = %.2f ps * sqrt(k)   (R^2 = %.4f)   "
-             "=> sigma_g = %.2f ps",
-             sqrt_fit.coefficient, sqrt_fit.r2,
-             sqrt_fit.coefficient / std::sqrt(2.0)));
+  // An IRO's jitter grows as sqrt(k) (Eq. 4); an STR's is flat in its
+  // length (Eq. 5). Each kind's headline is its own law.
+  if (spec.kind == RingKind::iro) {
+    const auto sqrt_fit = analysis::sqrt_law_fit(stages, method);
+    out.headlines.push_back(
+        format("sqrt-law fit:  sigma_p = %.2f ps * sqrt(k)   (R^2 = %.4f)   "
+               "=> sigma_g = %.2f ps",
+               sqrt_fit.coefficient, sqrt_fit.r2,
+               sqrt_fit.coefficient / std::sqrt(2.0)));
+  }
   if (spans(stages) && all_positive(method) && all_positive(truth)) {
     out.headlines.push_back(
         format("free-exponent fit: sigma_p method ~ k^%.3f   truth ~ k^%.3f",
                analysis::power_law_fit(stages, method).exponent,
                analysis::power_law_fit(stages, truth).exponent));
   }
-  const auto [lo, hi] = std::minmax_element(truth.begin(), truth.end());
-  out.headlines.push_back(
-      format("flatness: truth max-min over the stage counts = %.2f ps",
-             *hi - *lo));
+  if (spec.kind == RingKind::str) {
+    const auto [lo, hi] = std::minmax_element(truth.begin(), truth.end());
+    out.headlines.push_back(
+        format("flatness: truth max-min over the stage counts = %.2f ps",
+               *hi - *lo));
+  }
   return out;
 }
 

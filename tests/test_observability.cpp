@@ -465,6 +465,27 @@ TEST(Manifest, DriverWritesValidatableManifest) {
   ASSERT_EQ(reloaded.metrics.phases.size(), manifest->metrics.phases.size());
 }
 
+TEST(Manifest, ArtifactNameKeepsRunsOfOneExperimentApart) {
+  const OutDirGuard out_dir;
+  const MetricsGuard guard;
+
+  core::ExperimentOptions options;
+  options.jobs = 1;
+  const core::VoltageSweepSpec sweep{core::RingSpec::iro(3), {1.1, 1.2}, 20};
+  for (const char* artifact : {"plan-1-voltage_sweep", "plan-2-voltage_sweep"}) {
+    options.artifact = artifact;
+    (void)core::run_voltage_sweep(sweep, core::cyclone_iii(), options);
+  }
+  for (const char* artifact : {"plan-1-voltage_sweep", "plan-2-voltage_sweep"}) {
+    const Json parsed = Json::parse(
+        read_file(out_dir.dir() + "/" + artifact + ".manifest.json"));
+    // The file is named apart; the manifest still names its experiment.
+    EXPECT_EQ(core::RunManifest::from_json(parsed).experiment, "voltage_sweep");
+  }
+  EXPECT_FALSE(std::filesystem::exists(out_dir.dir() +
+                                       "/voltage_sweep.manifest.json"));
+}
+
 TEST(Manifest, FromJsonRejectsWrongSchemaAndMissingKeys) {
   Json bogus = Json::object();
   bogus.set("schema", "ringent.run-manifest/999");

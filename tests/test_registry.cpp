@@ -15,6 +15,7 @@
 #include "common/json.hpp"
 #include "core/export.hpp"
 #include "core/registry.hpp"
+#include "core/render.hpp"
 #include "sim/metrics.hpp"
 #include "sim/observe.hpp"
 #include "sim/telemetry.hpp"
@@ -150,4 +151,31 @@ TEST(Registry, EveryEntryRenders) {
     EXPECT_EQ(one.manifest.experiment.rfind(entry.name, 0), 0u) << entry.name;
     EXPECT_EQ(four.manifest.jobs, 4u) << entry.name;
   }
+}
+
+TEST(Registry, JitterSweepRendersTheLawOfItsRingKind) {
+  // An IRO sweep is read against Eq. 4 (sqrt-law), an STR sweep against
+  // Eq. 5 (flat in the length); the free-exponent fit is shown for both.
+  const std::vector<JitterPoint> points = {{4, 1500.0, 3.0, 1.06, 3.4},
+                                           {16, 2000.0, 6.0, 1.06, 3.5}};
+  const auto headlines = [&](RingKind kind) {
+    JitterSweepSpec spec;
+    spec.kind = kind;
+    spec.stage_counts = {4, 16};
+    std::string text;
+    for (const auto& line : render(spec, points, cyclone_iii()).headlines) {
+      text += line + "\n";
+    }
+    return text;
+  };
+  const std::string iro = headlines(RingKind::iro);
+  const std::string str = headlines(RingKind::str);
+  EXPECT_NE(iro.find("sqrt-law fit"), std::string::npos) << iro;
+  EXPECT_EQ(iro.find("flatness"), std::string::npos) << iro;
+  EXPECT_NE(str.find("flatness: truth max-min over the stage counts = 0.10 ps"),
+            std::string::npos)
+      << str;
+  EXPECT_EQ(str.find("sqrt-law fit"), std::string::npos) << str;
+  EXPECT_NE(iro.find("free-exponent fit"), std::string::npos) << iro;
+  EXPECT_NE(str.find("free-exponent fit"), std::string::npos) << str;
 }
