@@ -11,7 +11,9 @@
 #include <cstdio>
 
 #include "analysis/autocorr.hpp"
+#include "analysis/bitstream.hpp"
 #include "analysis/entropy.hpp"
+#include "analysis/entropy90b.hpp"
 #include "analysis/jitter.hpp"
 #include "analysis/normality.hpp"
 #include "analysis/periods.hpp"
@@ -23,7 +25,6 @@
 #include "trng/elementary.hpp"
 #include "trng/entropy_model.hpp"
 #include "trng/health.hpp"
-#include "trng/nist.hpp"
 
 using namespace ringent;
 using namespace ringent::core;
@@ -105,14 +106,15 @@ int main() {
               analysis::shannon_entropy_per_bit(bits),
               analysis::block_entropy_per_bit(bits, 8),
               analysis::min_entropy_per_bit(bits));
-  const auto battery = trng::nist_battery(bits);
-  std::size_t passes = 0;
-  for (const auto& r : battery.results) passes += r.pass ? 1 : 0;
-  std::printf("   NIST-lite             : %zu of %zu tests pass "
-              "(raw bits are correlated at this rate by design —\n"
+  const auto h90b =
+      analysis::estimate_entropy90b(analysis::BitStream::from_bits(bits));
+  std::printf("   SP 800-90B            : min-entropy = %.4f   H_Markov = "
+              "%.4f\n"
+              "                           (raw bits are correlated at this "
+              "rate by design —\n"
               "                           see the H8 row; post-processing or "
               "slower sampling required)\n",
-              passes, battery.results.size());
+              h90b.min_entropy, h90b.h_markov);
 
   // --- 4. on-line health -----------------------------------------------------
   const double claim = std::max(0.05, h_bound);

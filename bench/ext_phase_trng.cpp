@@ -14,13 +14,14 @@
 #include <numeric>
 #include <vector>
 
+#include "analysis/bitstream.hpp"
 #include "analysis/entropy.hpp"
+#include "analysis/entropy90b.hpp"
 #include "analysis/jitter.hpp"
 #include "analysis/periods.hpp"
 #include "core/experiments.hpp"
 #include "core/oscillator.hpp"
 #include "core/report.hpp"
-#include "trng/fips.hpp"
 #include "trng/phase_trng.hpp"
 
 using namespace ringent;
@@ -64,7 +65,10 @@ void row(Table& table, std::size_t stages, std::size_t tokens,
                  fmt_double(analysis::shannon_entropy_per_bit(result.bits), 4),
                  fmt_double(analysis::block_entropy_per_bit(result.bits, 8),
                             4),
-                 trng::serial_test(result.bits).pass ? "pass" : "fail"});
+                 fmt_double(analysis::estimate_entropy90b(
+                                analysis::BitStream::from_bits(result.bits))
+                                .min_entropy,
+                            4)});
 }
 
 }  // namespace
@@ -79,7 +83,7 @@ int main() {
               "is the raw bit\n\n");
 
   Table table({"config", "phases", "dPhi (ps)", "acc jitter/sample (ps)",
-               "bias", "H1", "H8", "serial"});
+               "bias", "H1", "H8", "90B min-entropy"});
   // Coprime (L, NT) pairs near the ideal NT/NB ratio: full phase coverage.
   row(table, 9, 4, fs, bit_count);
   row(table, 15, 8, fs, bit_count);

@@ -2,7 +2,7 @@
 //
 //   ringent_cli characterize str 96 [--periods 20000] [--board 0] [--seed S]
 //   ringent_cli predict 32 10            (analytic steady state, no sim)
-//   ringent_cli trng str 24 [--rate-mhz 4] [--bits 16384]
+//   ringent_cli trng str 24 [--rate-mhz 4] [--bits 16384] [--board B]
 //   ringent_cli vcd str 16 --out ring.vcd [--tokens 4] [--clustered]
 //   ringent_cli serve-bench [--slots 4] [--max-workers 4] [--conditioner lfsr]
 //   ringent_cli --list                   (enumerate registered experiments)
@@ -19,7 +19,12 @@
 // `telemetry=FILE` (one "ringent.telemetry/1" snapshot per driver run; a
 // .prom FILE selects the Prometheus text format). An unusable SPEC is a
 // usage error, as is a numeric flag that is not a plain number (`--jobs
-// banana`, `--seed 12abc`).
+// banana`, `--seed 12abc`) and any flag the command does not read. A flag
+// takes its value as `--key value` or `--key=value`.
+//
+// `trng` samples the ring into raw bits and scores them with the SP 800-90B
+// battery (analysis/entropy90b.hpp); it exits 1 when the 90B min-entropy
+// falls below the claim the jitter model derives for the sampling rate.
 //
 // `run` dispatches through core::experiment_registry(): it executes the
 // named driver's small default spec — or, with --spec FILE, the JSON spec
@@ -56,12 +61,16 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <initializer_list>
 #include <map>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/autocorr.hpp"
+#include "analysis/bitstream.hpp"
+#include "analysis/entropy90b.hpp"
 #include "campaign/plan.hpp"
 #include "campaign/runner.hpp"
 #include "campaign/store.hpp"
@@ -80,12 +89,12 @@
 #include "measure/frequency.hpp"
 #include "ring/analytic.hpp"
 #include "ring/mode.hpp"
+#include "ring/str_logic.hpp"
 #include "sim/vcd.hpp"
 #include "sim/vcd_read.hpp"
 #include "trng/elementary.hpp"
 #include "trng/entropy_model.hpp"
 #include "trng/health.hpp"
-#include "trng/nist.hpp"
 
 using namespace ringent;
 using namespace ringent::core;
@@ -110,9 +119,9 @@ bool parse_unsigned(const std::string& text, std::uint64_t& out) {
   return true;
 }
 
-/// Minimal option parser: positional args plus --key value / --flag.
-/// Numeric values are strict: an unusable one throws UsageError naming
-/// the flag and the value.
+/// Minimal option parser: positional args plus --key value, --key=value
+/// and --flag. Numeric values are strict: an unusable one throws UsageError
+/// naming the flag and the value.
 class Args {
  public:
   Args(int argc, char** argv, int first) {
@@ -120,7 +129,10 @@ class Args {
       const std::string arg = argv[i];
       if (arg.rfind("--", 0) == 0) {
         const std::string key = arg.substr(2);
-        if (i + 1 < argc && argv[i + 1][0] != '-') {
+        const auto equals = key.find('=');
+        if (equals != std::string::npos) {
+          options_[key.substr(0, equals)] = key.substr(equals + 1);
+        } else if (i + 1 < argc && argv[i + 1][0] != '-') {
           options_[key] = argv[++i];
         } else {
           options_[key] = "";
@@ -132,6 +144,22 @@ class Args {
   }
 
   const std::vector<std::string>& positional() const { return positional_; }
+
+  /// Throw UsageError on the first flag that is neither in `reads` nor
+  /// --observe, before `command` does any work.
+  void accept(const std::string& command,
+              std::initializer_list<const char*> reads) const {
+    for (const auto& [key, value] : options_) {
+      if (key == "observe" ||
+          std::find(reads.begin(), reads.end(), key) != reads.end()) {
+        continue;
+      }
+      std::string known;
+      for (const char* flag : reads) known += std::string(" --") + flag;
+      throw UsageError("unknown flag --" + key + " for '" + command +
+                       "' (it reads" + known + " --observe)");
+    }
+  }
 
   double number(const std::string& key, double fallback) const {
     const auto it = options_.find(key);
@@ -216,6 +244,8 @@ BuildOptions build_options(const Args& args, const fpga::Board** board_out,
 }
 
 int cmd_characterize(const Args& args) {
+  args.accept("characterize", {"periods", "board", "seed", "tokens",
+                               "clustered"});
   const RingSpec spec =
       parse_spec(args.positional().at(0), args.positional().at(1), args);
   std::optional<fpga::Board> board;
@@ -250,8 +280,16 @@ int cmd_characterize(const Args& args) {
 }
 
 int cmd_predict(const Args& args) {
+  args.accept("predict", {});
   const std::size_t stages = count_arg(args.positional().at(0), "<stages>");
   const std::size_t tokens = count_arg(args.positional().at(1), "<tokens>");
+  if (!ring::can_oscillate(stages, tokens)) {
+    throw UsageError("an STR with " + std::to_string(stages) +
+                     " stages and " + std::to_string(tokens) +
+                     " tokens cannot oscillate: it needs at least 3 stages "
+                     "and an even, positive token count below the stage "
+                     "count");
+  }
   const auto& cal = cyclone_iii();
   const auto pred = ring::predict_steady_state(
       ring::CharlieParams::symmetric(cal.str_d_static, cal.str_d_charlie),
@@ -276,6 +314,8 @@ int cmd_predict(const Args& args) {
 }
 
 int cmd_trng(const Args& args) {
+  args.accept("trng",
+              {"rate-mhz", "bits", "board", "seed", "tokens", "clustered"});
   const RingSpec spec =
       parse_spec(args.positional().at(0), args.positional().at(1), args);
   const Time fs = Time::from_ns(1e3 / args.number("rate-mhz", 4.0));
@@ -302,25 +342,38 @@ int cmd_trng(const Args& args) {
               analysis::bit_bias(bits),
               analysis::shannon_entropy_per_bit(bits),
               analysis::block_entropy_per_bit(bits, 8));
-  const auto battery = trng::nist_battery(bits);
-  for (const auto& r : battery.results) {
-    std::printf("  %-20s p = %.4f  %s\n", r.name.c_str(), r.p_value,
-                r.pass ? "pass" : "FAIL");
-  }
-  // On-line health tests with the claim derived from the measured jitter.
+  // The entropy claim derived from the measured jitter, checked off-line
+  // by the SP 800-90B battery and on-line by the health tests.
   const auto periods = analysis::periods_ps(osc.output());
   const auto jitter = analysis::summarize_jitter(periods);
   const double claim = std::max(
       0.05, trng::entropy_lower_bound(jitter.period_jitter_ps,
                                       jitter.mean_period_ps, fs));
+  const auto h90b =
+      analysis::estimate_entropy90b(analysis::BitStream::from_bits(bits));
+  const std::pair<const char*, double> estimators[] = {
+      {"mcv", h90b.h_mcv},         {"collision", h90b.h_collision},
+      {"markov", h90b.h_markov},   {"compression", h90b.h_compression},
+      {"t-tuple", h90b.h_t_tuple}, {"lrs", h90b.h_lrs}};
+  for (const auto& [name, h] : estimators) {
+    if (h < 0.0) {
+      std::printf("  90B %-12s skipped\n", name);
+    } else {
+      std::printf("  90B %-12s H = %.4f\n", name, h);
+    }
+  }
+  const bool supported = h90b.min_entropy >= claim;
+  std::printf("  90B min-entropy  H = %.4f  (claim H >= %.3f: %s)\n",
+              h90b.min_entropy, claim, supported ? "supported" : "FAIL");
   const auto health = trng::run_health_tests(bits, claim);
   std::printf("  health (claim H >= %.3f): RCT %s (C=%u), APT %s (C=%u)\n",
               claim, health.rct_pass ? "ok" : "ALARM", health.rct_cutoff_used,
               health.apt_pass ? "ok" : "ALARM", health.apt_cutoff_used);
-  return battery.all_pass ? 0 : 1;
+  return supported ? 0 : 1;
 }
 
 int cmd_analyze_vcd(const Args& args) {
+  args.accept("analyze-vcd", {});
   const auto doc = sim::read_vcd_file(args.positional().at(0));
   std::printf("%s: module '%s', %zu signals, timescale %lld fs\n",
               args.positional().at(0).c_str(), doc.module_name.c_str(),
@@ -353,6 +406,7 @@ int cmd_analyze_vcd(const Args& args) {
 }
 
 int cmd_vcd(const Args& args) {
+  args.accept("vcd", {"out", "tokens", "clustered", "periods", "sigma-g"});
   const RingSpec spec =
       parse_spec(args.positional().at(0), args.positional().at(1), args);
   RINGENT_REQUIRE(spec.kind == RingKind::str,
@@ -373,7 +427,8 @@ int cmd_vcd(const Args& args) {
   return 0;
 }
 
-int cmd_list() {
+int cmd_list(const Args& args) {
+  args.accept("list", {});
   Table table({"experiment", "summary", "source"});
   for (const auto& entry : experiment_registry()) {
     table.add_row({entry.name, entry.summary, entry.source});
@@ -508,6 +563,7 @@ int run_plan(const std::string& path, const Args& args) {
 }
 
 int cmd_run(const Args& args) {
+  args.accept("run", {"spec", "seed", "jobs"});
   const std::string& name = args.positional().at(0);
   const ExperimentDescriptor* exp = find_experiment(name);
   const std::string suffix = ".json";
@@ -562,6 +618,11 @@ std::string campaign_dir(const Args& args, const std::string& plan_path) {
 int cmd_campaign(const Args& args) {
   const std::string& action = args.positional().at(0);
   const std::string& plan_path = args.positional().at(1);
+  if (action == "run") {
+    args.accept("campaign run", {"dir", "shard", "jobs", "max-cells"});
+  } else {
+    args.accept("campaign " + action, {"dir"});
+  }
   const campaign::CampaignPlan plan = campaign::load_plan(plan_path);
   const campaign::ResultStore store(campaign_dir(args, plan_path));
 
@@ -631,6 +692,8 @@ int cmd_serve_bench(const Args& args) {
   // Sweep the entropy service's worker count and report throughput; then
   // verify that the delivered stream is bit-identical at every worker count
   // (the service's central determinism contract).
+  args.accept("serve-bench", {"slots", "bits-per-slot", "conditioner",
+                              "ratio", "real-rings", "max-workers", "seed"});
   EntropyServiceSpec spec;
   spec.slots = static_cast<std::size_t>(args.integer("slots", 4));
   spec.raw_bits_per_slot = args.integer("bits-per-slot", 1 << 18);
@@ -737,7 +800,7 @@ int main(int argc, char** argv) {
     if (command == "vcd" && args.positional().size() >= 2)
       return cmd_vcd(args);
     if (command == "serve-bench") return cmd_serve_bench(args);
-    if (command == "--list" || command == "list") return cmd_list();
+    if (command == "--list" || command == "list") return cmd_list(args);
     if (command == "run" && args.positional().size() >= 1)
       return cmd_run(args);
     if (command == "campaign" && args.positional().size() >= 2)

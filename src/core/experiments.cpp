@@ -303,7 +303,10 @@ std::vector<JitterPoint> run_jitter_vs_stages(const JitterSweepSpec& sweep,
         point.stages = stages;
         point.mean_period_ps = method.mean_period_ps;
         point.sigma_p_ps = method.sigma_p_ps;
-        point.sigma_g_ps = measure::iro_sigma_g_ps(method.sigma_p_ps, stages);
+        point.sigma_g_ps =
+            sweep.kind == RingKind::iro
+                ? measure::iro_sigma_g_ps(method.sigma_p_ps, stages)
+                : measure::str_sigma_g_ps(method.sigma_p_ps);
         point.sigma_direct_ps = describe(analysis::periods_ps(edges)).stddev();
         return point;
       });

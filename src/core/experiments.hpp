@@ -187,7 +187,7 @@ struct JitterPoint {
   std::size_t stages = 0;
   double mean_period_ps = 0.0;
   double sigma_p_ps = 0.0;    ///< recovered by the Fig. 10 method
-  double sigma_g_ps = 0.0;    ///< per-gate jitter derived via Eq. 7 (IRO)
+  double sigma_g_ps = 0.0;    ///< per-gate jitter: Eq. 7 (IRO), Eq. 5 (STR)
   double sigma_direct_ps = 0.0;  ///< ground-truth sigma of the periods
 };
 

@@ -110,8 +110,12 @@ Rendering render(const ProcessVariabilitySpec& spec,
 
 Rendering render(const JitterSweepSpec& spec,
                  const std::vector<JitterPoint>& result, const Calibration&) {
+  // Per-gate jitter by the ring kind's own law: Eq. 7 for an IRO, the
+  // inverse of Eq. 5 for an STR.
   Rendering out{Table({"stages", "T (ps)", "sigma_p method", "sigma_p truth",
-                       "sigma_g = sigma_p/sqrt(2k)"}),
+                       spec.kind == RingKind::iro
+                           ? "sigma_g = sigma_p/sqrt(2k)"
+                           : "sigma_g = sigma_p/sqrt(2)"}),
                 {}};
   std::vector<double> stages, method, truth;
   for (const auto& p : result) {

@@ -57,4 +57,9 @@ double str_sigma_p_ps(double sigma_g_ps) {
   return std::sqrt(2.0) * sigma_g_ps;
 }
 
+double str_sigma_g_ps(double sigma_p_ps) {
+  RINGENT_REQUIRE(sigma_p_ps >= 0.0, "negative jitter");
+  return sigma_p_ps / std::sqrt(2.0);
+}
+
 }  // namespace ringent::measure

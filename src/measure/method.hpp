@@ -50,4 +50,8 @@ double iro_sigma_p_ps(double sigma_g_ps, std::size_t stages);
 /// independent of the stage count.
 double str_sigma_p_ps(double sigma_g_ps);
 
+/// Derive the per-gate jitter from an STR's period jitter, the inverse of
+/// Eq. 5: sigma_g = sigma_p / sqrt(2), whatever the stage count.
+double str_sigma_g_ps(double sigma_p_ps);
+
 }  // namespace ringent::measure

@@ -52,10 +52,8 @@
 #include "trng/coherent.hpp"
 #include "trng/elementary.hpp"
 #include "trng/entropy_model.hpp"
-#include "trng/fips.hpp"
 #include "trng/health.hpp"
 #include "trng/multiring.hpp"
-#include "trng/nist.hpp"
 #include "trng/phase_trng.hpp"
 #include "trng/postproc.hpp"
 #include "trng/sampler.hpp"

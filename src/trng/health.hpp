@@ -1,6 +1,6 @@
 // On-line health tests for an operating entropy source (NIST SP 800-90B
 // §4.4 style): the continuous checks a fielded TRNG runs on every raw bit,
-// as opposed to the off-line batteries in trng/fips.hpp and trng/nist.hpp.
+// as opposed to the off-line SP 800-90B estimates of analysis/entropy90b.hpp.
 //
 //  * Repetition Count Test (RCT): alarm when the same value repeats C times,
 //    C chosen from the claimed min-entropy H so that a healthy source

@@ -6,8 +6,8 @@
 // paper's Table II angle: the construction's entropy model assumes ring
 // frequencies that stay distinct and within design bounds on every device —
 // easier to guarantee with STRs. Used by the ext_multiring bench to compare
-// how many IRO vs STR rings a FIPS/NIST-clean generator needs at a given
-// sampling rate.
+// the SP 800-90B min-entropy of IRO and STR banks as rings are added at a
+// given sampling rate.
 #pragma once
 
 #include <cstdint>

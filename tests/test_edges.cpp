@@ -15,7 +15,6 @@
 #include "reference_sim.hpp"
 #include "sim/vcd.hpp"
 #include "sim/vcd_read.hpp"
-#include "trng/fips.hpp"
 #include "trng/postproc.hpp"
 
 using namespace ringent;
@@ -110,14 +109,6 @@ TEST(PostprocEdges, OddLengthInputsDropTheTail) {
   const std::vector<std::uint8_t> bits = {1, 0, 1};  // one pair + tail
   EXPECT_EQ(trng::von_neumann(bits), (std::vector<std::uint8_t>{1}));
   EXPECT_EQ(trng::peres(bits, 4).size(), trng::peres(bits, 4).size());
-}
-
-TEST(FipsEdges, PokerBoundaryStatistics) {
-  // All-equal nibbles: X explodes far above the window.
-  std::vector<std::uint8_t> zeros(trng::fips_block_bits, 0);
-  const auto verdict = trng::fips_poker(zeros);
-  EXPECT_FALSE(verdict.pass);
-  EXPECT_GT(verdict.statistic, 46.17);
 }
 
 TEST(AnalyticEdges, RoutingCaseMatchesSimulationToo) {

@@ -4,6 +4,7 @@
 // entry must render its result the same way at any worker count.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <set>
@@ -178,4 +179,30 @@ TEST(Registry, JitterSweepRendersTheLawOfItsRingKind) {
   EXPECT_EQ(str.find("sqrt-law fit"), std::string::npos) << str;
   EXPECT_NE(iro.find("free-exponent fit"), std::string::npos) << iro;
   EXPECT_NE(str.find("free-exponent fit"), std::string::npos) << str;
+
+  // The per-gate column inverts the same law: Eq. 7 for an IRO, Eq. 5
+  // (sigma_g = sigma_p/sqrt(2), whatever the length) for an STR, both in
+  // its header and in the driver's values.
+  for (const RingKind kind : {RingKind::iro, RingKind::str}) {
+    JitterSweepSpec spec;
+    spec.kind = kind;
+    spec.stage_counts = {4, 16};
+    spec.divider_n = 4;
+    spec.mes_periods = 20;
+    const auto measured = run_jitter_vs_stages(spec, cyclone_iii());
+    const std::string table = render(spec, measured, cyclone_iii()).text();
+    const bool iro_kind = kind == RingKind::iro;
+    EXPECT_EQ(table.find("sigma_g = sigma_p/sqrt(2k)") != std::string::npos,
+              iro_kind)
+        << table;
+    EXPECT_EQ(table.find("sigma_g = sigma_p/sqrt(2) ") != std::string::npos,
+              !iro_kind)
+        << table;
+    for (const auto& p : measured) {
+      const double law = iro_kind ? 2.0 * static_cast<double>(p.stages) : 2.0;
+      EXPECT_DOUBLE_EQ(p.sigma_g_ps, p.sigma_p_ps / std::sqrt(law))
+          << p.stages;
+      EXPECT_NE(table.find(fmt_ps(p.sigma_g_ps)), std::string::npos) << table;
+    }
+  }
 }
