@@ -248,6 +248,37 @@ TEST(Postproc, XorBiasPilingUpLemma) {
   EXPECT_THROW(trng::xor_decimate(two_bits, 0), PreconditionError);
 }
 
+// --- pair correlation ---------------------------------------------------------------
+
+// A 20,000-bit block (the FIPS 140-2 block size) whose bits repeat their
+// predecessor 80% of the time is balanced, so only a test that reads bit
+// pairs catches it. The SP 800-90B battery does so twice: the Markov
+// estimate falls to the sticky path's rate -log2(0.8), and the lag-1
+// autocorrelation reads 1 - p01 - p10 = 0.6.
+TEST(Fips, SerialTestCatchesPairCorrelation) {
+  Xoshiro256 rng(79);
+  std::vector<std::uint8_t> good(20000);
+  for (auto& b : good) b = static_cast<std::uint8_t>(rng.next() & 1);
+  const analysis::Entropy90bResult g =
+      analysis::estimate_entropy90b(analysis::BitStream::from_bits(good));
+  EXPECT_GT(g.h_markov, 0.95) << g.h_markov;
+  EXPECT_NEAR(g.autocorrelation.at(0), 0.0, 0.03);
+
+  std::vector<std::uint8_t> corr;
+  Xoshiro256 sticky(83);
+  std::uint8_t prev = 0;
+  for (int i = 0; i < 20000; ++i) {
+    prev = sticky.uniform01() < 0.8 ? prev : static_cast<std::uint8_t>(1 - prev);
+    corr.push_back(prev);
+  }
+  const analysis::Entropy90bResult c =
+      analysis::estimate_entropy90b(analysis::BitStream::from_bits(corr));
+  EXPECT_NEAR(analysis::bit_bias(corr), 0.5, 0.03);
+  EXPECT_NEAR(c.h_markov, -std::log2(0.8), 0.03) << c.h_markov;
+  EXPECT_NEAR(c.autocorrelation.at(0), 0.6, 0.03);
+  EXPECT_LT(c.min_entropy, 0.5 * g.min_entropy);
+}
+
 // --- entropy model ------------------------------------------------------------------
 
 TEST(EntropyModel, BoundIsMonotoneAndSaturates) {
