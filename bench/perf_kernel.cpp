@@ -4,6 +4,7 @@
 #include <benchmark/benchmark.h>
 
 #include <memory>
+#include <vector>
 
 #include "analysis/entropy90b.hpp"
 #include "common/rng.hpp"
@@ -12,10 +13,13 @@
 #include "core/oscillator.hpp"
 #include "fpga/supply.hpp"
 #include "noise/jitter.hpp"
+#include "service/conditioner.hpp"
+#include "service/pool.hpp"
 #include "ring/charlie.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/observe.hpp"
 #include "sim/parallel.hpp"
+#include "trng/resilient.hpp"
 
 using namespace ringent;
 using namespace ringent::literals;
@@ -259,6 +263,41 @@ void BM_Entropy90B(benchmark::State& state) {
                           static_cast<std::int64_t>(bits));
 }
 BENCHMARK(BM_Entropy90B)->Arg(4096)->Arg(65536);
+
+/// Health-monitored raw-bit production: ResilientGenerator::fill_bytes
+/// over a service::PrngBitSource under the default policy, 256-byte calls
+/// as GeneratorPool pumps them. "Items" are raw bits, so events_per_sec
+/// reads as raw bits/sec through the RCT/APT and the degradation machine.
+void BM_ResilientFillBytes(benchmark::State& state) {
+  service::PrngBitSource source(1);
+  trng::ResilientGenerator generator(source, nullptr);
+  std::uint8_t out[256];
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(generator.fill_bytes(out, 4096));
+  }
+  state.SetItemsProcessed(
+      static_cast<std::int64_t>(generator.stats().bits_in));
+}
+BENCHMARK(BM_ResilientFillBytes);
+
+/// The chained SHA-256 conditioner (ratio 2) on 256-byte pumps. "Items"
+/// are raw bytes absorbed.
+void BM_HashConditioner(benchmark::State& state) {
+  service::HashConditioner conditioner(2);
+  std::uint8_t raw[256];
+  Xoshiro256 rng(0x5A);
+  for (auto& byte : raw) byte = static_cast<std::uint8_t>(rng.next());
+  std::vector<std::uint8_t> out;
+  out.reserve(256);
+  for (auto _ : state) {
+    out.clear();
+    conditioner.process(raw, out);
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(sizeof raw));
+}
+BENCHMARK(BM_HashConditioner);
 
 /// Entropy-service saturation: a full pool -> SPSC ring -> conditioner ->
 /// front-end drain with synthetic PRNG-backed slot sources (real ring

@@ -321,6 +321,11 @@ int cmd_trng(const Args& args) {
   const Time fs = Time::from_ns(1e3 / args.number("rate-mhz", 4.0));
   const auto bits_wanted =
       static_cast<std::size_t>(args.integer("bits", 16384));
+  // The 8-bit block entropy below needs at least 4 blocks' worth of bits.
+  if (bits_wanted < 32) {
+    throw UsageError("--bits wants at least 32, got " +
+                     std::to_string(bits_wanted));
+  }
 
   std::optional<fpga::Board> board;
   const fpga::Board* bp = nullptr;
@@ -409,8 +414,9 @@ int cmd_vcd(const Args& args) {
   args.accept("vcd", {"out", "tokens", "clustered", "periods", "sigma-g"});
   const RingSpec spec =
       parse_spec(args.positional().at(0), args.positional().at(1), args);
-  RINGENT_REQUIRE(spec.kind == RingKind::str,
-                  "vcd currently dumps STR stage waves");
+  if (spec.kind != RingKind::str) {
+    throw UsageError("vcd dumps STR stage waves; an IRO has none");
+  }
   const std::string out = args.text("out", "ring.vcd");
 
   BuildOptions build;

@@ -1,5 +1,7 @@
 #include "service/conditioner.hpp"
 
+#include <algorithm>
+
 #include "common/require.hpp"
 
 namespace ringent::service {
@@ -62,34 +64,33 @@ void LfsrConditioner::reset() {
 HashConditioner::HashConditioner(std::size_t ratio)
     : ratio_(ratio), block_bytes_(ratio * Sha256::digest_size) {
   RINGENT_REQUIRE(ratio >= 1, "hash conditioner ratio must be >= 1");
-  pending_.reserve(block_bytes_);
+  start_block();
 }
 
 void HashConditioner::process(std::span<const std::uint8_t> raw,
                               std::vector<std::uint8_t>& out) {
-  std::size_t offset = 0;
-  while (offset < raw.size()) {
-    const std::size_t take =
-        std::min(raw.size() - offset, block_bytes_ - pending_.size());
-    pending_.insert(pending_.end(), raw.begin() + offset,
-                    raw.begin() + offset + take);
-    offset += take;
-    if (pending_.size() == block_bytes_) emit_block(out);
+  while (!raw.empty()) {
+    const std::size_t take = std::min(raw.size(), block_bytes_ - absorbed_);
+    hash_.update(raw.first(take));
+    raw = raw.subspan(take);
+    absorbed_ += take;
+    if (absorbed_ == block_bytes_) {
+      chain_ = hash_.finish();
+      out.insert(out.end(), chain_.begin(), chain_.end());
+      start_block();
+    }
   }
 }
 
-void HashConditioner::emit_block(std::vector<std::uint8_t>& out) {
-  Sha256 hash;
-  hash.update(std::span<const std::uint8_t>(chain_.data(), chain_.size()));
-  hash.update(std::span<const std::uint8_t>(pending_.data(), pending_.size()));
-  chain_ = hash.finish();
-  out.insert(out.end(), chain_.begin(), chain_.end());
-  pending_.clear();
+void HashConditioner::start_block() {
+  hash_.reset();
+  hash_.update(chain_);
+  absorbed_ = 0;
 }
 
 void HashConditioner::reset() {
   chain_.fill(0);
-  pending_.clear();
+  start_block();
 }
 
 std::unique_ptr<Conditioner> make_conditioner(ConditionerKind kind,

@@ -76,8 +76,9 @@ class LfsrConditioner final : public Conditioner {
   std::size_t absorbed_ = 0;  ///< raw bytes since last emitted byte
 };
 
-/// Chained SHA-256 conditioner. Collects `ratio * 32` raw bytes, hashes them
-/// together with the previous digest (chain), emits the 32-byte digest.
+/// Chained SHA-256 conditioner. Hashes each block of `ratio * 32` raw bytes
+/// behind the previous digest (chain || block) and emits the 32-byte digest.
+/// Raw bytes stream straight into the running hash; nothing is staged.
 class HashConditioner final : public Conditioner {
  public:
   explicit HashConditioner(std::size_t ratio = 2);
@@ -89,12 +90,14 @@ class HashConditioner final : public Conditioner {
   void reset() override;
 
  private:
-  void emit_block(std::vector<std::uint8_t>& out);
+  /// Open the next block's hash with the chain digest.
+  void start_block();
 
   std::size_t ratio_;
   std::size_t block_bytes_;
   std::array<std::uint8_t, Sha256::digest_size> chain_{};
-  std::vector<std::uint8_t> pending_;
+  Sha256 hash_;               ///< chain || the block's raw bytes so far
+  std::size_t absorbed_ = 0;  ///< raw bytes of the current block
 };
 
 std::unique_ptr<Conditioner> make_conditioner(ConditionerKind kind,

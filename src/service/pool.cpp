@@ -64,19 +64,22 @@ void GeneratorPool::stop() {
   threads_.clear();
 }
 
+std::size_t GeneratorPool::Slot::push_out() {
+  const std::size_t pushed =
+      ring->try_push(std::span<const std::uint8_t>(out).subspan(out_sent));
+  out_sent += pushed;
+  conditioned_bytes += pushed;
+  return pushed;
+}
+
 bool GeneratorPool::pump_slot(Slot& slot) {
   if (slot.exhausted.load(std::memory_order_relaxed)) return false;
 
   // Flush conditioned bytes the ring could not take last time first, so the
   // stream order is preserved.
-  if (!slot.pending_out.empty()) {
-    const std::size_t pushed = slot.ring->try_push(slot.pending_out);
-    if (pushed > 0) {
-      slot.conditioned_bytes += pushed;
-      slot.pending_out.erase(slot.pending_out.begin(),
-                             slot.pending_out.begin() + pushed);
-    }
-    if (!slot.pending_out.empty()) return pushed > 0;  // ring still full
+  if (slot.out_sent < slot.out.size()) {
+    const std::size_t pushed = slot.push_out();
+    if (slot.out_sent < slot.out.size()) return pushed > 0;  // still full
   }
 
   if (slot.done_producing) {
@@ -106,15 +109,11 @@ bool GeneratorPool::pump_slot(Slot& slot) {
   const bool consumed_raw = gen.stats().bits_in > used;
   if (got == 0) return consumed_raw;  // muted/relocking: bits burned, no output
 
-  std::vector<std::uint8_t> conditioned;
+  slot.out.clear();
+  slot.out_sent = 0;
   slot.conditioner->process(std::span<const std::uint8_t>(staging, got),
-                            conditioned);
-  if (conditioned.empty()) return true;
-  const std::size_t pushed = slot.ring->try_push(conditioned);
-  slot.conditioned_bytes += pushed;
-  if (pushed < conditioned.size()) {
-    slot.pending_out.assign(conditioned.begin() + pushed, conditioned.end());
-  }
+                            slot.out);
+  if (!slot.out.empty()) slot.push_out();
   return true;
 }
 
@@ -163,6 +162,23 @@ std::uint8_t PrngBitSource::next_bit() {
   word_ >>= 1;
   --bits_left_;
   return bit;
+}
+
+std::uint64_t PrngBitSource::next_bits(unsigned count) {
+  // Bits left in word_ sit at its bottom; the rest come from a fresh word.
+  std::uint64_t bits = word_;
+  if (count <= bits_left_) {
+    word_ = count == 64 ? 0 : word_ >> count;
+    bits_left_ -= count;
+  } else {
+    const std::size_t have = bits_left_;
+    const std::size_t rest = count - have;
+    word_ = rng_.next();
+    bits |= word_ << have;
+    word_ = rest == 64 ? 0 : word_ >> rest;
+    bits_left_ = 64 - rest;
+  }
+  return count == 64 ? bits : bits & ((std::uint64_t{1} << count) - 1);
 }
 
 void PrngBitSource::restart(std::uint64_t attempt) {

@@ -117,8 +117,14 @@ class GeneratorPool {
     std::atomic<bool> exhausted{false};
     // Producer-thread private; read by stats() only when quiescent.
     std::uint64_t conditioned_bytes = 0;
-    std::vector<std::uint8_t> pending_out;  ///< conditioned, ring was full
+    /// The last pump's conditioned bytes, reused across pumps; the ones from
+    /// `out_sent` on did not fit in the ring yet.
+    std::vector<std::uint8_t> out;
+    std::size_t out_sent = 0;
     bool done_producing = false;
+
+    /// Push what the ring takes of out[out_sent..]; returns the count.
+    std::size_t push_out();
   };
 
   /// One production step for `slot`; returns true if any progress was made
@@ -143,6 +149,7 @@ class PrngBitSource final : public trng::BitSource {
   explicit PrngBitSource(std::uint64_t seed);
 
   std::uint8_t next_bit() override;
+  std::uint64_t next_bits(unsigned count) override;
   void restart(std::uint64_t attempt) override;
   std::string_view describe() const override { return "prng-source"; }
 

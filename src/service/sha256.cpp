@@ -112,18 +112,22 @@ void Sha256::update(std::span<const std::uint8_t> bytes) {
 }
 
 std::array<std::uint8_t, Sha256::digest_size> Sha256::finish() {
+  // Padding goes straight into the pending block: 0x80, zeros up to byte
+  // 56 (spilling into one more block when fewer than 9 bytes are left), and
+  // the message length in bits, big-endian.
   const std::uint64_t bit_length = total_bytes_ * 8;
-  const std::uint8_t pad_one = 0x80;
-  update(std::span<const std::uint8_t>(&pad_one, 1));
-  const std::uint8_t zero = 0;
-  while (pending_size_ != 56) {
-    update(std::span<const std::uint8_t>(&zero, 1));
+  pending_[pending_size_++] = 0x80;
+  if (pending_size_ > 56) {
+    std::memset(pending_.data() + pending_size_, 0, 64 - pending_size_);
+    compress(pending_.data());
+    pending_size_ = 0;
   }
-  std::uint8_t length_be[8];
+  std::memset(pending_.data() + pending_size_, 0, 56 - pending_size_);
   for (std::size_t i = 0; i < 8; ++i) {
-    length_be[i] = static_cast<std::uint8_t>(bit_length >> (56 - 8 * i));
+    pending_[56 + i] = static_cast<std::uint8_t>(bit_length >> (56 - 8 * i));
   }
-  update(std::span<const std::uint8_t>(length_be, 8));
+  compress(pending_.data());
+  pending_size_ = 0;
   std::array<std::uint8_t, digest_size> out{};
   for (std::size_t i = 0; i < 8; ++i) store_be32(out.data() + 4 * i, state_[i]);
   return out;

@@ -1,5 +1,7 @@
 #include "trng/health.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "common/math.hpp"
@@ -31,6 +33,28 @@ bool RepetitionCountTest::feed(std::uint8_t bit) {
   }
   if (run_ >= cutoff_) alarmed_ = true;
   return !alarmed_;
+}
+
+bool RepetitionCountTest::advance(std::uint64_t word, unsigned count) {
+  RINGENT_REQUIRE(count >= 1 && count <= 64, "advance takes 1..64 bits");
+  if (alarmed_) return false;
+  if (run_ + count >= cutoff_) {
+    // Some run might reach the cutoff: find the alarming bit one at a time.
+    for (unsigned i = 0; i < count; ++i) {
+      if (!feed(static_cast<std::uint8_t>((word >> i) & 1u))) return false;
+    }
+    return true;
+  }
+  // No run can reach the cutoff, so only the trailing run survives the
+  // word. Shift the bits that differ from the last one to the top: the
+  // leading zeros are that run.
+  const auto tail_bit = static_cast<std::uint8_t>((word >> (count - 1)) & 1u);
+  const std::uint64_t differ = (tail_bit != 0 ? ~word : word) << (64 - count);
+  const auto tail = static_cast<std::uint32_t>(
+      differ == 0 ? count : std::countl_zero(differ));
+  run_ = tail == count && tail_bit == last_ ? run_ + count : tail;
+  last_ = tail_bit;
+  return true;
 }
 
 void RepetitionCountTest::reset() {
@@ -90,6 +114,38 @@ bool AdaptiveProportionTest::feed(std::uint8_t bit) {
     return false;
   }
   if (++index_ >= window_) index_ = 0;  // start a fresh window
+  return true;
+}
+
+bool AdaptiveProportionTest::advance(std::uint64_t word, unsigned count) {
+  RINGENT_REQUIRE(count >= 1 && count <= 64, "advance takes 1..64 bits");
+  if (alarmed_) return false;
+  unsigned pos = 0;
+  while (pos < count) {
+    if (index_ == 0) {
+      // The window's first sample becomes the reference: no alarm check.
+      feed(static_cast<std::uint8_t>((word >> pos) & 1u));
+      ++pos;
+      continue;
+    }
+    const auto len = static_cast<unsigned>(
+        std::min<std::size_t>(count - pos, window_ - index_));
+    std::uint64_t segment = word >> pos;
+    if (len < 64) segment &= (std::uint64_t{1} << len) - 1;
+    const auto ones = static_cast<std::uint32_t>(std::popcount(segment));
+    const std::uint32_t matches = ref_ == 1 ? ones : len - ones;
+    if (count_ + matches > cutoff_) {
+      // The alarm falls inside this segment: find its bit one at a time.
+      for (unsigned i = 0; !alarmed_; ++i) {
+        feed(static_cast<std::uint8_t>((segment >> i) & 1u));
+      }
+      return false;
+    }
+    count_ += matches;
+    index_ += len;
+    if (index_ >= window_) index_ = 0;  // start a fresh window
+    pos += len;
+  }
   return true;
 }
 

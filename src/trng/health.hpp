@@ -38,6 +38,13 @@ class RepetitionCountTest {
   /// and the test fails as soon as B >= C.
   bool feed(std::uint8_t bit);
 
+  /// Feed `count` (1..64) bits at once, the first in bit 0 of `word` (bits
+  /// above `count` are ignored). Same return value, state and alarm bit as
+  /// `count` feed() calls: when no run can reach the cutoff, only the
+  /// trailing run is measured (by countl_zero); otherwise the word goes bit
+  /// by bit.
+  bool advance(std::uint64_t word, unsigned count);
+
   bool alarmed() const { return alarmed_; }
   std::uint32_t current_run() const { return run_; }
   std::uint32_t cutoff() const { return cutoff_; }
@@ -77,6 +84,13 @@ class AdaptiveProportionTest {
   ///    never double-counted in the next window (the resilience layer
   ///    relies on this when it re-arms after a relock).
   bool feed(std::uint8_t bit);
+
+  /// Feed `count` (1..64) bits at once, the first in bit 0 of `word` (bits
+  /// above `count` are ignored). Same return value, state and alarm bit as
+  /// `count` feed() calls: each stretch of the word inside one window adds
+  /// its popcount of reference values, and only a stretch that would carry
+  /// the count past the cutoff is fed bit by bit.
+  bool advance(std::uint64_t word, unsigned count);
 
   bool alarmed() const { return alarmed_; }
   /// Occurrences of the window's reference value so far (degradation

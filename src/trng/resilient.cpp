@@ -1,5 +1,6 @@
 #include "trng/resilient.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <utility>
 
@@ -43,6 +44,20 @@ constexpr auto kPolicyFields = fields::object<DegradationPolicy>(
     optional("failover_after_strikes",
              &DegradationPolicy::failover_after_strikes, Integer{}));
 
+/// The smallest count n with n >= fraction * cutoff: the level at which
+/// near_threshold() fires (it compares the same double with >=). UINT64_MAX
+/// when the suspect state is disabled (fraction >= 1).
+std::uint64_t suspect_level(double fraction, std::uint32_t cutoff) {
+  if (!(fraction < 1.0)) return UINT64_MAX;
+  const double level = fraction * cutoff;
+  return level <= 0.0 ? 0 : static_cast<std::uint64_t>(std::ceil(level));
+}
+
+/// Bits that can be added to `at` while it stays below `level`.
+std::uint64_t room_below(std::uint64_t level, std::uint64_t at) {
+  return at + 1 < level ? level - 1 - at : 0;
+}
+
 }  // namespace
 
 RINGENT_FIELDS_JSON(DegradationPolicy, kPolicyFields)
@@ -74,6 +89,11 @@ ResilientGenerator::ResilientGenerator(BitSource& primary, BitSource* backup,
   RINGENT_REQUIRE(policy.backoff_bits > 0, "backoff must cover >= 1 bit");
   RINGENT_REQUIRE(policy.max_strikes > 0, "need at least one strike");
   RINGENT_REQUIRE(backup_ != primary_, "backup must be a distinct source");
+  rct_event_run_ = std::min<std::uint64_t>(
+      rct_.cutoff(), suspect_level(policy.suspect_fraction, rct_.cutoff()));
+  apt_event_count_ = std::min<std::uint64_t>(
+      std::uint64_t{apt_.cutoff()} + 1,
+      suspect_level(policy.suspect_fraction, apt_.cutoff()));
 }
 
 std::vector<std::uint8_t> ResilientGenerator::generate(std::size_t raw_bits) {
@@ -81,10 +101,11 @@ std::vector<std::uint8_t> ResilientGenerator::generate(std::size_t raw_bits) {
   std::vector<std::uint8_t> out;
   out.reserve(raw_bits);
   const std::uint64_t muted_before = stats_.bits_muted;
-  for (std::size_t i = 0; i < raw_bits; ++i) {
-    if (state_ == DegradationState::failed) break;
-    step(active_->next_bit(), out);
-  }
+  pump(raw_bits, raw_bits, [&out](std::uint64_t word, std::size_t count) {
+    for (std::size_t i = 0; i < count; ++i) {
+      out.push_back(static_cast<std::uint8_t>((word >> i) & 1u));
+    }
+  });
   metrics::bump(metrics::Counter::health_bits_muted,
                 stats_.bits_muted - muted_before);
   return out;
@@ -93,42 +114,112 @@ std::vector<std::uint8_t> ResilientGenerator::generate(std::size_t raw_bits) {
 std::size_t ResilientGenerator::fill_bytes(std::span<std::uint8_t> out,
                                            std::size_t max_raw_bits) {
   sim::trace::Span span("resilient-fill-bytes", "axis");
-  std::vector<std::uint8_t> bits;
-  bits.reserve(64);
+  if (out.empty()) return 0;
   const std::uint64_t muted_before = stats_.bits_muted;
+  // Emitted bits gather LSB-first in `acc` behind the carried partial byte;
+  // whole bytes leave as they complete, so fewer than 8 stay between calls.
+  std::uint64_t acc = carry_byte_;
+  std::size_t acc_bits = carry_count_;
   std::size_t written = 0;
-  std::size_t raw_used = 0;
-  while (written < out.size() && raw_used < max_raw_bits &&
-         state_ != DegradationState::failed) {
-    bits.clear();
-    // Pull a small batch, never more raw bits than the output has room for
-    // as emitted bits (step() emits at most one bit per raw bit), so no
-    // emitted bit is ever dropped. The carry accumulator makes the packing
-    // independent of the batch size.
-    const std::size_t room_bits = (out.size() - written) * 8 - carry_count_;
-    const std::size_t batch = std::min(
-        std::min<std::size_t>(64, max_raw_bits - raw_used), room_bits);
-    for (std::size_t i = 0; i < batch; ++i) {
-      if (state_ == DegradationState::failed) break;
-      step(active_->next_bit(), bits);
-      ++raw_used;
-    }
-    for (const std::uint8_t bit : bits) {
-      carry_byte_ |= static_cast<std::uint8_t>((bit & 1u) << carry_count_);
-      if (++carry_count_ == 8) {
-        out[written++] = carry_byte_;
-        carry_byte_ = 0;
-        carry_count_ = 0;
-      }
-    }
-  }
+  // Never emit more bits than the output has room for, so none is dropped.
+  const std::size_t room_bits = out.size() * 8 - carry_count_;
+  pump(max_raw_bits, room_bits,
+       [&](std::uint64_t word, std::size_t count) {
+         // acc_bits < 8 here: the bits past acc's 64 spill into `high`.
+         acc |= word << acc_bits;
+         std::uint64_t high =
+             acc_bits + count > 64 ? word >> (64 - acc_bits) : 0;
+         acc_bits += count;
+         for (; acc_bits >= 8; acc_bits -= 8) {
+           out[written++] = static_cast<std::uint8_t>(acc);
+           acc = (acc >> 8) | (high << 56);
+           high = 0;
+         }
+       });
+  carry_byte_ = static_cast<std::uint8_t>(acc);
+  carry_count_ = acc_bits;
   metrics::bump(metrics::Counter::health_bits_muted,
                 stats_.bits_muted - muted_before);
   return written;
 }
 
-void ResilientGenerator::step(std::uint8_t bit,
-                              std::vector<std::uint8_t>& out) {
+template <class Emit>
+void ResilientGenerator::pump(std::size_t max_raw, std::size_t max_out,
+                              Emit&& emit) {
+  std::size_t raw = 0;
+  std::size_t emitted = 0;
+  while (raw < max_raw && emitted < max_out &&
+         state_ != DegradationState::failed) {
+    const std::size_t quiet = quiet_run(
+        std::min({max_raw - raw, max_out - emitted, std::size_t{64}}));
+    if (quiet == 0) {
+      const std::uint8_t bit = active_->next_bit();
+      ++raw;
+      if (step(bit)) {
+        emit(std::uint64_t{bit}, 1);
+        ++emitted;
+      }
+      continue;
+    }
+    const std::uint64_t word =
+        active_->next_bits(static_cast<unsigned>(quiet));
+    raw += quiet;
+    if (advance_quiet(word, quiet)) {
+      emit(word, quiet);
+      emitted += quiet;
+    }
+  }
+}
+
+std::size_t ResilientGenerator::quiet_run(std::size_t limit) const {
+  if (telemetry_ != nullptr || histo::enabled()) return 0;
+  std::uint64_t room = 0;
+  switch (state_) {
+    case DegradationState::healthy:
+      // Worst case every bit extends the run and matches the APT reference
+      // (a bit that opens a new window starts its count at 1 <= that).
+      room = std::min(room_below(rct_event_run_, rct_.current_run()),
+                      room_below(apt_event_count_, apt_.current_count()));
+      break;
+    case DegradationState::muted:
+      room = room_below(backoff_remaining_, 0);
+      break;
+    case DegradationState::relocking:
+      room = std::min({room_below(rct_.cutoff(), rct_.current_run()),
+                       room_below(std::uint64_t{apt_.cutoff()} + 1,
+                                  apt_.current_count()),
+                       room_below(probation_remaining_, 0)});
+      break;
+    case DegradationState::suspect:
+    case DegradationState::failed:
+      return 0;
+  }
+  return static_cast<std::size_t>(std::min<std::uint64_t>(limit, room));
+}
+
+bool ResilientGenerator::advance_quiet(std::uint64_t word, std::size_t count) {
+  const auto bits = static_cast<unsigned>(count);
+  stats_.bits_in += count;
+  switch (state_) {
+    case DegradationState::healthy:
+      rct_.advance(word, bits);
+      apt_.advance(word, bits);
+      stats_.bits_out += count;
+      return true;
+    case DegradationState::relocking:
+      rct_.advance(word, bits);
+      apt_.advance(word, bits);
+      probation_remaining_ -= count;
+      break;
+    default:  // muted; quiet_run() gives no other state a chunk
+      backoff_remaining_ -= count;
+      break;
+  }
+  stats_.bits_muted += count;
+  return false;
+}
+
+bool ResilientGenerator::step(std::uint8_t bit) {
   ++stats_.bits_in;
   if (telemetry_ != nullptr) telemetry_->feed(bit);
   if (histo::enabled()) {
@@ -160,13 +251,12 @@ void ResilientGenerator::step(std::uint8_t bit,
           ++stats_.apt_alarms;
           metrics::bump(metrics::Counter::health_apt_alarms);
         }
-        return;
+        return false;
       }
       if (histo::enabled() && apt_.window_index() == 0) {
         // index_ just wrapped: current_count() is the completed window's.
         histo::record(histo::Histogram::apt_window_ones, apt_.current_count());
       }
-      out.push_back(bit);
       ++stats_.bits_out;
       const bool near = near_threshold();
       if (near && state_ == DegradationState::healthy) {
@@ -174,14 +264,14 @@ void ResilientGenerator::step(std::uint8_t bit,
       } else if (!near && state_ == DegradationState::suspect) {
         transition(DegradationState::healthy, "margin-restored");
       }
-      return;
+      return true;
     }
     case DegradationState::muted: {
       // Tests are latched from the alarm; bits are burned, not inspected.
       ++stats_.bits_muted;
       if (backoff_remaining_ > 0) --backoff_remaining_;
       if (backoff_remaining_ == 0) begin_relock();
-      return;
+      return false;
     }
     case DegradationState::relocking: {
       ++stats_.bits_muted;
@@ -197,7 +287,7 @@ void ResilientGenerator::step(std::uint8_t bit,
           ++stats_.apt_alarms;
           metrics::bump(metrics::Counter::health_apt_alarms);
         }
-        return;
+        return false;
       }
       if (histo::enabled() && apt_.window_index() == 0) {
         histo::record(histo::Histogram::apt_window_ones, apt_.current_count());
@@ -212,12 +302,13 @@ void ResilientGenerator::step(std::uint8_t bit,
           stats_.recovered_bit = stats_.bits_in;
         }
       }
-      return;
+      return false;
     }
     case DegradationState::failed:
       ++stats_.bits_muted;
-      return;
+      return false;
   }
+  return false;
 }
 
 void ResilientGenerator::on_alarm(const char* reason) {

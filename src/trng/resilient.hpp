@@ -44,8 +44,19 @@ class BitSource {
  public:
   virtual ~BitSource() = default;
 
-  /// Produce the next raw bit of the stream.
+  /// Produce the next raw bit of the stream (0 or 1).
   virtual std::uint8_t next_bit() = 0;
+
+  /// Produce the next `count` (1..64) raw bits at once, the first in bit 0,
+  /// the bits above `count` zero. Must equal `count` next_bit() calls, which
+  /// is what the default does; a source that makes whole words overrides it.
+  virtual std::uint64_t next_bits(unsigned count) {
+    std::uint64_t word = 0;
+    for (unsigned i = 0; i < count; ++i) {
+      word |= std::uint64_t{next_bit()} << i;
+    }
+    return word;
+  }
 
   /// Restart the underlying physical source (ring power-cycle / re-lock).
   /// `attempt` numbers the restarts so implementations can derive fresh
@@ -178,7 +189,26 @@ class ResilientGenerator {
   }
 
  private:
-  void step(std::uint8_t bit, std::vector<std::uint8_t>& out);
+  /// The stepper behind generate() and fill_bytes(): pull raw bits until
+  /// `max_raw` are consumed, `max_out` are emitted or the generator fails,
+  /// handing each run of emitted bits to `emit(word, count)` (first bit in
+  /// bit 0). Quiet chunks of up to 64 bits go through advance_quiet(); the
+  /// one bit where an event could fire goes through step().
+  template <class Emit>
+  void pump(std::size_t max_raw, std::size_t max_out, Emit&& emit);
+  /// The chunk invariant: the largest k <= `limit` such that none of the
+  /// next k bits can fire an event, whatever their values — raise an alarm,
+  /// reach the suspect level, end the backoff or end probation. 0 means the
+  /// next bit goes through step(): always so in `suspect` and `failed`, and
+  /// while a StreamingEntropy is attached or the scope collects histograms,
+  /// so every observer sees each bit.
+  std::size_t quiet_run(std::size_t limit) const;
+  /// Apply `count` quiet bits (quiet_run() >= count) in one go; returns
+  /// true when they are emitted.
+  bool advance_quiet(std::uint64_t word, std::size_t count);
+  /// Apply one raw bit with the full per-bit policy; returns true when it is
+  /// emitted.
+  bool step(std::uint8_t bit);
   void transition(DegradationState to, std::string reason);
   void on_alarm(const char* reason);
   void begin_relock();
@@ -194,6 +224,10 @@ class ResilientGenerator {
   DegradationState state_ = DegradationState::healthy;
   ResilientStats stats_;
   std::vector<StateTransition> transitions_;
+  // Healthy-state event levels: the smallest RCT run and APT count that
+  // alarm or reach the suspect level (near_threshold()).
+  std::uint64_t rct_event_run_ = 0;
+  std::uint64_t apt_event_count_ = 0;
   std::uint64_t backoff_remaining_ = 0;
   std::uint64_t probation_remaining_ = 0;
   // fill_bytes() partial-byte accumulator (LSB-first).

@@ -4,6 +4,7 @@
 #
 #   cmake -DCLI=<binary> -DARGS=<args joined by ^> -DEXPECT_EXIT=<code>
 #         [-DEXPECT_OUTPUT=<regex over stdout+stderr>]
+#         [-DREJECT_OUTPUT=<regex stdout+stderr must not match>]
 #         [-DOUT_DIR=<dir> -DEXPECT_FILES=<file names joined by ^>]
 #         -P run_cli.cmake
 #
@@ -22,6 +23,9 @@ if(NOT code STREQUAL EXPECT_EXIT)
 endif()
 if(DEFINED EXPECT_OUTPUT AND NOT "${out}${err}" MATCHES "${EXPECT_OUTPUT}")
   message(FATAL_ERROR "output does not match '${EXPECT_OUTPUT}'\n${out}${err}")
+endif()
+if(DEFINED REJECT_OUTPUT AND "${out}${err}" MATCHES "${REJECT_OUTPUT}")
+  message(FATAL_ERROR "output matches '${REJECT_OUTPUT}'\n${out}${err}")
 endif()
 if(DEFINED OUT_DIR)
   string(REPLACE "^" ";" expected "${EXPECT_FILES}")
