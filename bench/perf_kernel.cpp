@@ -1,9 +1,17 @@
 // google-benchmark microbenchmarks for the simulation substrate: full ring
 // models (events/second, each ring running its own event loop), the STR's
 // pending-event set, and the Charlie arithmetic.
+//
+// The report's "context" block carries the host next to google-benchmark's
+// num_cpus and mhz_per_cpu: cpu_model (from /proc/cpuinfo), affinity (the
+// CPUs this process may run on) and sha_ni (whether Sha256 compresses with
+// the SHA extensions). record_bench copies it into the ledger entry.
 #include <benchmark/benchmark.h>
+#include <sched.h>
 
+#include <fstream>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "analysis/entropy90b.hpp"
@@ -15,6 +23,8 @@
 #include "noise/jitter.hpp"
 #include "service/conditioner.hpp"
 #include "service/pool.hpp"
+#include "service/sha256.hpp"
+#include "service/sha256_impl.hpp"
 #include "ring/charlie.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/observe.hpp"
@@ -299,6 +309,23 @@ void BM_HashConditioner(benchmark::State& state) {
 }
 BENCHMARK(BM_HashConditioner);
 
+/// SHA-256 over one 64 KiB update(), the multi-block path, plus its
+/// finish(). "Items" are bytes hashed.
+void BM_Sha256Update(benchmark::State& state) {
+  std::vector<std::uint8_t> message(64 * 1024);
+  Xoshiro256 rng(0x5B);
+  for (auto& byte : message) byte = static_cast<std::uint8_t>(rng.next());
+  service::Sha256 hash;
+  for (auto _ : state) {
+    hash.reset();
+    hash.update(message);
+    benchmark::DoNotOptimize(hash.finish());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(message.size()));
+}
+BENCHMARK(BM_Sha256Update);
+
 /// Entropy-service saturation: a full pool -> SPSC ring -> conditioner ->
 /// front-end drain with synthetic PRNG-backed slot sources (real ring
 /// sources would measure the oscillator simulation, not the service
@@ -328,4 +355,42 @@ BENCHMARK(BM_ServiceThroughput)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
+std::string cpu_model() {
+  std::ifstream cpuinfo("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(cpuinfo, line)) {
+    if (line.rfind("model name", 0) != 0) continue;
+    const std::size_t colon = line.find(':');
+    if (colon == std::string::npos) break;
+    return line.substr(line.find_first_not_of(' ', colon + 1));
+  }
+  return "unknown";
+}
+
+/// The CPUs this process may run on, as "0,1,2,3".
+std::string affinity() {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof set, &set) != 0) return "unknown";
+  std::string out;
+  for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
+    if (!CPU_ISSET(cpu, &set)) continue;
+    if (!out.empty()) out += ',';
+    out += std::to_string(cpu);
+  }
+  return out;
+}
+
 }  // namespace
+
+int main(int argc, char** argv) {
+  benchmark::AddCustomContext("cpu_model", cpu_model());
+  benchmark::AddCustomContext("affinity", affinity());
+  benchmark::AddCustomContext(
+      "sha_ni", service::detail::cpu_has_sha_ni() ? "yes" : "no");
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

@@ -242,6 +242,30 @@ int main(int argc, char** argv) {
     write_file(root + "/corpus/postproc/identity_depth1", seed3);
   }
 
+  // --- sha256: [k][k chunk sizes][message] ----------------------------------
+  {
+    ringent::SplitMix64 sm(0x5A256);
+    const auto message = [&](std::size_t n) {
+      std::string out;
+      for (std::size_t i = 0; i < n; ++i) {
+        out += static_cast<char>(sm.next() & 0xFF);
+      }
+      return out;
+    };
+    // Whole messages at the padding edges: 55 bytes leave room for the
+    // 0x80 and the length in one block, 56 and 63 spill into a second, 64
+    // is exactly one block.
+    for (const std::size_t n : {55u, 56u, 63u, 64u}) {
+      write_file(root + "/corpus/sha256/pad_" + std::to_string(n),
+                 std::string(1, '\0') + message(n));
+    }
+    // Five blocks in chunks that straddle block edges, with an empty
+    // update(): 1, 63, 64, 0, 130 bytes, cycling.
+    const std::string sizes = {1, 63, 64, 0, static_cast<char>(130)};
+    write_file(root + "/corpus/sha256/chunked_300",
+               static_cast<char>(sizes.size()) + sizes + message(300));
+  }
+
   // --- campaign: plan, index and cell-record documents ---------------------
   {
     namespace campaign = ringent::campaign;

@@ -2,7 +2,10 @@
 //
 //  * SpscRing — SPSC byte ring unit tests incl. wraparound and the
 //    power-of-two capacity contract;
-//  * Sha256 — FIPS 180-4 test vectors and streaming-chunk invariance;
+//  * Sha256 — FIPS 180-4 test vectors and streaming-chunk invariance; the
+//    portable and SHA-NI compression functions against each other on every
+//    length 0..300 and random update() chunkings (the SHA-NI cases skip on a
+//    CPU without it);
 //  * conditioners — golden-pinned output (bit-exact regression anchors),
 //    chunking invariance and reset semantics;
 //  * pool + front-end — starvation paths (all slots failed, all slots
@@ -10,11 +13,14 @@
 //    pinned against hardcoded stream fingerprints.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <numeric>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "core/calibration.hpp"
 #include "core/experiments.hpp"
 #include "service/conditioner.hpp"
@@ -22,6 +28,7 @@
 #include "service/pool.hpp"
 #include "service/ring_buffer.hpp"
 #include "service/sha256.hpp"
+#include "service/sha256_impl.hpp"
 
 using namespace ringent;
 
@@ -147,6 +154,137 @@ TEST(Sha256, StreamingChunksMatchOneShot) {
   }
   h.update(std::span<const std::uint8_t>(msg).subspan(off));
   EXPECT_EQ(h.finish(), ref);
+}
+
+// ---------------------------------------------------------------------------
+// SHA-256 compression paths: production calls the SHA-NI path on a CPU that
+// has it and the portable one elsewhere, so each is held to the other here.
+
+using service::detail::Sha256Access;
+using service::detail::Sha256Compress;
+
+/// The SHA-NI compression function, or nullptr when this build or CPU lacks
+/// it.
+Sha256Compress sha_ni_compress() {
+#if RINGENT_SHA256_SHA_NI
+  if (service::detail::cpu_has_sha_ni()) {
+    return service::detail::sha256_compress_sha_ni;
+  }
+#endif
+  return nullptr;
+}
+
+constexpr const char* kNoShaNi =
+    "this CPU (or a non-x86 build) has no SHA-NI: the hardware compression "
+    "path is not exercised here";
+
+/// `msg` through `compress`, fed to update() in chunks of random length
+/// (0 to `max_chunk` bytes) drawn from `rng`; whole when max_chunk is 0.
+std::string digest_with(Sha256Compress compress,
+                        std::span<const std::uint8_t> msg, Xoshiro256& rng,
+                        std::size_t max_chunk) {
+  service::Sha256 h = Sha256Access::with(compress);
+  std::size_t off = 0;
+  while (off < msg.size()) {
+    const std::size_t chunk =
+        max_chunk == 0 ? msg.size() : rng.next() % (max_chunk + 1);
+    const std::size_t take = std::min(chunk, msg.size() - off);
+    h.update(msg.subspan(off, take));
+    off += take;
+  }
+  return hex(h.finish());
+}
+
+struct FipsVector {
+  std::string message;
+  const char* digest;
+};
+
+const std::vector<FipsVector>& fips_vectors() {
+  static const std::vector<FipsVector> vectors = {
+      {"", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"},
+      {"abc",
+       "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"},
+      {"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+       "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"},
+  };
+  return vectors;
+}
+
+void expect_fips_vectors(Sha256Compress compress) {
+  Xoshiro256 rng(7);
+  for (const FipsVector& v : fips_vectors()) {
+    const Bytes msg(v.message.begin(), v.message.end());
+    EXPECT_EQ(digest_with(compress, msg, rng, 0), v.digest) << v.message;
+    EXPECT_EQ(digest_with(compress, msg, rng, 5), v.digest) << v.message;
+  }
+}
+
+/// Message lengths 0..300 (every padding edge, one to five blocks) plus a
+/// few multi-KiB ones, with seeded random contents.
+std::vector<Bytes> differential_messages() {
+  std::vector<std::size_t> lengths(301);
+  std::iota(lengths.begin(), lengths.end(), std::size_t{0});
+  for (const std::size_t n : {1024u, 4096u + 55u, 8192u + 63u, 65536u + 9u}) {
+    lengths.push_back(n);
+  }
+  Xoshiro256 rng(0x5AA5);
+  std::vector<Bytes> messages;
+  for (const std::size_t n : lengths) {
+    Bytes msg(n);
+    for (auto& byte : msg) byte = static_cast<std::uint8_t>(rng.next());
+    messages.push_back(std::move(msg));
+  }
+  return messages;
+}
+
+TEST(Sha256Paths, PortableFipsVectors) {
+  expect_fips_vectors(service::detail::sha256_compress_portable);
+}
+
+TEST(Sha256Paths, ShaNiFipsVectors) {
+  const Sha256Compress sha_ni = sha_ni_compress();
+  if (sha_ni == nullptr) GTEST_SKIP() << kNoShaNi;
+  expect_fips_vectors(sha_ni);
+}
+
+TEST(Sha256Paths, DispatchFollowsTheCpuidProbe) {
+  const Sha256Compress sha_ni = sha_ni_compress();
+  EXPECT_EQ(service::detail::sha256_compress(),
+            sha_ni != nullptr ? sha_ni
+                              : service::detail::sha256_compress_portable);
+}
+
+TEST(Sha256Paths, PortableChunkingsMatchOneShot) {
+  // Runs on every host, so streaming through the portable path is checked
+  // where the one-shot digest takes the SHA-NI path and where it does not.
+  Xoshiro256 rng(11);
+  for (const Bytes& msg : differential_messages()) {
+    const std::string one_shot = hex(service::Sha256::digest(msg));
+    for (const std::size_t max_chunk : {0u, 3u, 70u, 200u}) {
+      ASSERT_EQ(digest_with(service::detail::sha256_compress_portable, msg,
+                            rng, max_chunk),
+                one_shot)
+          << "length " << msg.size() << ", chunks up to " << max_chunk;
+    }
+  }
+}
+
+TEST(Sha256Paths, ShaNiMatchesPortableOnEveryLengthAndChunking) {
+  const Sha256Compress sha_ni = sha_ni_compress();
+  if (sha_ni == nullptr) GTEST_SKIP() << kNoShaNi;
+  Xoshiro256 rng(13);
+  for (const Bytes& msg : differential_messages()) {
+    const std::string portable =
+        digest_with(service::detail::sha256_compress_portable, msg, rng, 0);
+    ASSERT_EQ(hex(service::Sha256::digest(msg)), portable)
+        << "one-shot, length " << msg.size();
+    for (const std::size_t max_chunk : {0u, 3u, 70u, 200u}) {
+      ASSERT_EQ(digest_with(sha_ni, msg, rng, max_chunk), portable)
+          << "SHA-NI, length " << msg.size() << ", chunks up to "
+          << max_chunk;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
